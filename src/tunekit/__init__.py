@@ -8,7 +8,7 @@ warm starting from previous jobs, and a crash-recoverable job store.
 
 from .acquisition import AcquisitionContext, acquisition_value, expected_improvement, propose
 from .benchmarks import Benchmark, UnknownBenchmarkError, get_benchmark
-from .inference import McmcConfig, StepOutFailure, empirical_bayes_fit, slice_sample, slice_sample_thetas
+from .inference import McmcConfig, StepOutFailure, slice_sample, slice_sample_thetas
 from .jobs import (
     JobConfigError,
     ObjectiveSpec,

@@ -1,11 +1,9 @@
 """Hyperparameter inference for the GP surrogate.
 
-Two procedures are provided.  ``slice_sample_thetas`` draws an ensemble of
-hyperparameter settings from the posterior over the log parameterisation
-using univariate slice sampling along random directions; predictions then
-average over the ensemble.  ``empirical_bayes_fit`` instead maximises the
-log marginal likelihood from several starting points and returns the
-single best setting.
+``slice_sample_thetas`` draws an ensemble of hyperparameter settings from
+the posterior over the log parameterisation using univariate slice
+sampling along random directions; predictions then average over the
+ensemble.
 """
 
 from __future__ import annotations
@@ -15,9 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .sobol import MAX_DIMENSION, sobol_points
 from .surrogate import CholeskyFailure, GpHyperParams, lml_function
 
 __all__ = [
@@ -25,15 +21,11 @@ __all__ = [
     "McmcConfig",
     "slice_sample",
     "slice_sample_thetas",
-    "empirical_bayes_fit",
     "log_prior",
 ]
 
 _MAX_STEP_OUT = 1000
 _MAX_SHRINK = 200
-_EB_STARTS = 4
-_EB_MAXITER = 100
-_BAD_OBJECTIVE = 1e12
 
 # Lognormal prior scales over the hyperparameters (on the log axis):
 # lengthscales and amplitude get a standard normal, the warp shapes a
@@ -218,51 +210,3 @@ def slice_sample_thetas(design: np.ndarray, y: np.ndarray, config: McmcConfig,
 
     kept = chain[config.burn_in::config.thinning]
     return [GpHyperParams.from_log_vector(row, width) for row in kept]
-
-
-def empirical_bayes_fit(design: np.ndarray, y: np.ndarray,
-                        seed: int | np.random.SeedSequence) -> GpHyperParams:
-    """Single hyperparameter setting maximising the log marginal likelihood.
-
-    Runs bounded L-BFGS-B from the default setting plus a handful of
-    space-filling starts inside the log box and returns the best endpoint.
-    The result never scores below the default setting (minus a numerical
-    hair), because the default is itself a candidate.
-
-    Raises
-    ------
-    CholeskyFailure
-        If every candidate fails to factorise.
-    """
-    design = np.atleast_2d(np.asarray(design, dtype=float))
-    width = design.shape[1]
-    k = 3 * width + 2
-    lo, hi = GpHyperParams.log_bounds(width)
-    lml = lml_function(design, y)
-
-    def objective(log_theta: np.ndarray) -> float:
-        try:
-            return -lml(np.clip(log_theta, lo, hi))
-        except CholeskyFailure:
-            return _BAD_OBJECTIVE
-
-    x_default = GpHyperParams.default(width).to_log_vector()
-    if k <= MAX_DIMENSION:
-        unit = sobol_points(k, _EB_STARTS, skip=1)
-    else:
-        unit = np.random.default_rng(seed).random((_EB_STARTS, k))
-    starts = [x_default] + [lo + row * (hi - lo) for row in unit]
-
-    candidates: list[tuple[float, np.ndarray]] = [(objective(x_default), x_default)]
-    for x0 in starts:
-        result = minimize(
-            objective, x0, method="L-BFGS-B",
-            bounds=list(zip(lo, hi)),
-            options={"maxiter": _EB_MAXITER},
-        )
-        candidates.append((float(result.fun), np.asarray(result.x)))
-
-    best_val, best_x = min(candidates, key=lambda item: item[0])
-    if best_val >= _BAD_OBJECTIVE:
-        raise CholeskyFailure("no hyperparameter start produced a usable factorisation")
-    return GpHyperParams.from_log_vector(np.clip(best_x, lo, hi), width)

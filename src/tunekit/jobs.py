@@ -10,7 +10,7 @@ the CLI's config-file format.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -45,7 +45,6 @@ JOB_ID_RE = re.compile(r"^[a-z0-9-]{1,64}$")
 
 Goal = Literal["minimize", "maximize"]
 Strategy = Literal["bayesian", "random"]
-InferenceMode = Literal["mcmc", "empirical_bayes"]
 EarlyStopping = Literal["off", "median"]
 
 TERMINAL_STATUSES = frozenset({"completed", "failed", "early_stopped"})
@@ -73,7 +72,6 @@ class TuningJobConfig:
     max_parallel: int = 1
     early_stopping: EarlyStopping = "off"
     warm_start_parents: tuple[str, ...] = ()
-    inference: InferenceMode = "mcmc"
     mcmc: McmcConfig = field(default_factory=McmcConfig)
     seed: int = 0
     retry_limit: int = 2
@@ -100,8 +98,6 @@ def validate_job_config(config: TuningJobConfig) -> TuningJobConfig:
         raise JobConfigError(f"unknown goal {config.objective.goal!r}")
     if config.early_stopping not in ("off", "median"):
         raise JobConfigError(f"unknown early_stopping {config.early_stopping!r}")
-    if config.inference not in ("mcmc", "empirical_bayes"):
-        raise JobConfigError(f"unknown inference mode {config.inference!r}")
     if not config.objective.name:
         raise JobConfigError("objective needs a metric name")
     if config.retry_limit < 0:
@@ -285,7 +281,6 @@ def job_config_to_dict(config: TuningJobConfig, executor: ExecutorSpec,
         "max_parallel": config.max_parallel,
         "early_stopping": config.early_stopping,
         "warm_start_parents": list(config.warm_start_parents),
-        "inference": config.inference,
         "mcmc": {"chain_length": config.mcmc.chain_length,
                  "burn_in": config.mcmc.burn_in,
                  "thinning": config.mcmc.thinning},
@@ -314,6 +309,13 @@ def job_config_from_dict(data: dict) -> tuple[TuningJobConfig,
     space_records = data["space"]
     if not isinstance(space_records, list):
         raise JobConfigError("space must be a list of dimension records")
+    # Stores written before slice sampling became the only inference
+    # carry "inference": "mcmc"; any other mode is refused, not ignored.
+    inference = data.get("inference", "mcmc")
+    if inference != "mcmc":
+        raise JobConfigError(
+            f"inference mode {inference!r} was removed: hyperparameters are "
+            "always slice-sampled; drop the key or set it to 'mcmc'")
     mcmc_record = data.get("mcmc", {})
     try:
         mcmc = McmcConfig(
@@ -332,7 +334,6 @@ def job_config_from_dict(data: dict) -> tuple[TuningJobConfig,
             early_stopping=data.get("early_stopping", "off"),
             warm_start_parents=tuple(str(p) for p in
                                      data.get("warm_start_parents", ())),
-            inference=data.get("inference", "mcmc"),
             mcmc=mcmc,
             seed=int(data.get("seed", 0)),
             retry_limit=int(data.get("retry_limit", 2)),
@@ -344,10 +345,6 @@ def job_config_from_dict(data: dict) -> tuple[TuningJobConfig,
                 if "executor" in data else None)
     status = str(data.get("status", "created"))
     return config, executor, status
-
-
-def with_seed(config: TuningJobConfig, seed: int) -> TuningJobConfig:
-    return replace(config, seed=seed)
 
 
 def trial_record_to_dict(record: TrialRecord) -> dict:

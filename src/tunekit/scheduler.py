@@ -20,7 +20,7 @@ import numpy as np
 from collections.abc import Iterable
 
 from .acquisition import AcquisitionContext, propose
-from .inference import empirical_bayes_fit, slice_sample_thetas
+from .inference import slice_sample_thetas
 from .jobs import (
     JobConfigError,
     TrialRecord,
@@ -59,10 +59,6 @@ __all__ = [
 _SEED_INIT_DESIGN = 101
 _SEED_CANDIDATE = 202
 _SEED_EXECUTOR = 303
-
-# Below this many observations the hyperparameter posterior is too flat
-# for a point estimate to be meaningful; sampling is forced.
-_MIN_OBS_FOR_POINT_ESTIMATE = 3
 
 
 class JobAborted(RuntimeError):
@@ -118,10 +114,7 @@ def next_candidate(state: TuningJobState, config: TuningJobConfig,
 
     inference_seed = _derive_seed(seed, 1)
     propose_seed = _derive_seed(seed, 2)
-    if config.inference == "mcmc" or n_obs < _MIN_OBS_FOR_POINT_ESTIMATE:
-        thetas = slice_sample_thetas(design, y, config.mcmc, inference_seed)
-    else:
-        thetas = [empirical_bayes_fit(design, y, inference_seed)]
+    thetas = slice_sample_thetas(design, y, config.mcmc, inference_seed)
     posteriors = []
     for theta in thetas:
         try:
@@ -200,7 +193,6 @@ class _Coordinator:
         self.state = TuningJobState()
         self.events: queue.Queue[TrialEvent] = queue.Queue()
         self.stop_requested = False
-        self._status_poll_counter = 0
 
     # -- persistence helpers (store failures abort the job) ---------------
 

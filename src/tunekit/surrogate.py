@@ -113,7 +113,7 @@ class GpHyperParams:
         return self
 
     # The log-vector layout [lengthscales, amplitude, noise_var, warp_a, warp_b]
-    # is the parameterisation used by both inference procedures.
+    # is the parameterisation slice sampling moves in.
 
     def to_log_vector(self) -> np.ndarray:
         return np.log(np.concatenate([
@@ -441,10 +441,10 @@ def lml_function(design: np.ndarray, y: np.ndarray):
     """Fast evaluator of the log marginal likelihood over hyperparameters.
 
     Precomputes the target normalisation once, which matters when the
-    same data is scored under thousands of hyperparameter settings (MCMC
-    and multi-start optimisation).  The returned callable takes either a
-    ``GpHyperParams`` or its log vector (the layout of
-    ``GpHyperParams.to_log_vector``), and for every ``theta`` it equals
+    same data is scored under thousands of hyperparameter settings during
+    slice sampling.  The returned callable takes a log vector (the layout
+    of ``GpHyperParams.to_log_vector``); for every ``theta`` its value at
+    ``theta.to_log_vector()`` equals
     ``log_marginal_likelihood(design, y, theta)``.  It raises
     ``CholeskyFailure`` where that function does.
     """
@@ -452,24 +452,18 @@ def lml_function(design: np.ndarray, y: np.ndarray):
     z = _normalize_targets(y).z
     n = z.shape[0]
     if n == 0:
-        return lambda theta: 0.0
+        return lambda log_theta: 0.0
     width = design.shape[1]
     const = -0.5 * n * math.log(2.0 * math.pi)
     clipped = np.clip(design, 0.0, 1.0)
 
-    def lml(theta) -> float:
-        if isinstance(theta, GpHyperParams):
-            lengthscales, amplitude, noise_var = (
-                theta.lengthscales, theta.amplitude, theta.noise_var)
-            warp_a, warp_b = theta.warp_a, theta.warp_b
-        else:
-            x = np.exp(theta)
-            if x.shape != (3 * width + 2,):
-                raise ValueError(f"expected a log vector of length "
-                                 f"{3 * width + 2}, got {x.shape}")
-            lengthscales, amplitude, noise_var = (
-                x[:width], x[width], x[width + 1])
-            warp_a, warp_b = x[width + 2:2 * width + 2], x[2 * width + 2:]
+    def lml(log_theta: np.ndarray) -> float:
+        x = np.exp(log_theta)
+        if x.shape != (3 * width + 2,):
+            raise ValueError(f"expected a log vector of length "
+                             f"{3 * width + 2}, got {x.shape}")
+        lengthscales, amplitude, noise_var = x[:width], x[width], x[width + 1]
+        warp_a, warp_b = x[width + 2:2 * width + 2], x[2 * width + 2:]
         scaled = (1.0 - (1.0 - clipped ** warp_a) ** warp_b) / lengthscales
         k = _matern_from_scaled(scaled, scaled, amplitude)
         k.flat[::n + 1] += noise_var

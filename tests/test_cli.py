@@ -91,13 +91,16 @@ class TestRun:
         assert not store_root.exists()
 
     def test_invalid_config_value(self, tmp_path, capsys):
-        def mutate(payload):
-            payload["max_trials"] = 0
-        path = write_config(tmp_path, mutate=mutate)
-        assert main(["run", str(path), "--store",
-                     str(tmp_path / "store")]) == 2
-        err = capsys.readouterr().err
-        assert str(path) in err
+        for key, value in (("max_trials", 0),
+                           ("inference", "empirical_bayes")):
+            path = write_config(
+                tmp_path, mutate=lambda p: p.__setitem__(key, value))
+            assert main(["run", str(path), "--store",
+                         str(tmp_path / "store")]) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err
+        assert "was removed" in err
+        assert not (tmp_path / "store").exists()
 
     def test_seed_flag_overrides_new_job(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -1,4 +1,4 @@
-"""Slice sampling and empirical Bayes hyperparameter fitting tests."""
+"""Slice sampling of the GP hyperparameter posterior."""
 from __future__ import annotations
 
 import math
@@ -12,7 +12,6 @@ from tunekit.inference import (
     McmcConfig,
     _posterior_log_density,
     StepOutFailure,
-    empirical_bayes_fit,
     log_prior,
     slice_sample,
     slice_sample_thetas,
@@ -23,9 +22,7 @@ from tunekit.surrogate import (
     LENGTHSCALE_BOUNDS,
     NOISE_BOUNDS,
     WARP_BOUNDS,
-    fit_posterior,
     log_marginal_likelihood,
-    predict_batch,
 )
 
 Z_99 = 2.5758293035489004  # two-sided 1% normal quantile
@@ -247,54 +244,3 @@ class TestThetaSampling:
         design, y = small_dataset()
         with pytest.raises(ValueError):
             slice_sample_thetas(design, y, McmcConfig(10, 10, 1), seed=0)
-
-
-class TestEmpiricalBayes:
-    def test_never_worse_than_default(self):
-        for seed in range(5):
-            design, y = small_dataset(seed, n=12)
-            fitted = empirical_bayes_fit(design, y, seed=seed)
-            got = log_marginal_likelihood(design, y, fitted)
-            base = log_marginal_likelihood(design, y, GpHyperParams.default(2))
-            assert got >= base - 1e-9
-
-    def test_deterministic(self):
-        design, y = small_dataset(8, n=10)
-        a = empirical_bayes_fit(design, y, seed=0)
-        b = empirical_bayes_fit(design, y, seed=0)
-        np.testing.assert_array_equal(a.to_log_vector(), b.to_log_vector())
-
-    def test_result_inside_box(self):
-        design, y = small_dataset(9, n=10)
-        fitted = empirical_bayes_fit(design, y, seed=1)
-        fitted.validate()
-
-    def test_lengthscale_recovery(self):
-        # data generated from a known short-lengthscale GP; the fit should
-        # land within a factor of two of the truth
-        truth = GpHyperParams(
-            lengthscales=np.array([0.1]), amplitude=1.0, noise_var=1e-6,
-            warp_a=np.ones(1), warp_b=np.ones(1),
-        )
-        rng = np.random.default_rng(10)
-        design = np.linspace(0.0, 1.0, 40).reshape(-1, 1)
-        from oracles import oracle_kernel
-
-        gram = oracle_kernel(design, design, truth) + 1e-6 * np.eye(40)
-        y = np.linalg.cholesky(gram) @ rng.normal(size=40)
-        fitted = empirical_bayes_fit(design, y, seed=0)
-        assert 0.05 <= fitted.lengthscales[0] <= 0.2
-        assert fitted.noise_var < 1e-2
-
-    def test_fit_improves_held_out_prediction(self):
-        rng = np.random.default_rng(11)
-        design = rng.random((30, 1))
-        y = np.sin(design[:, 0] * 12.0)
-        fitted = empirical_bayes_fit(design[:24], y[:24], seed=0)
-        post_fit = fit_posterior(design[:24], y[:24], fitted)
-        post_def = fit_posterior(design[:24], y[:24], GpHyperParams.default(1))
-        mu_fit, _ = predict_batch(post_fit, design[24:])
-        mu_def, _ = predict_batch(post_def, design[24:])
-        err_fit = np.mean((mu_fit - y[24:]) ** 2)
-        err_def = np.mean((mu_def - y[24:]) ** 2)
-        assert err_fit <= err_def + 1e-9

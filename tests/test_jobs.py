@@ -66,7 +66,6 @@ class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("strategy", "grid"),
         ("early_stopping", "asha"),
-        ("inference", "vi"),
         ("retry_limit", -1),
     ])
     def test_bad_enums(self, field, value):
@@ -185,14 +184,18 @@ class TestJsonSchema:
     def test_round_trip(self):
         config = make_config(
             warm_start_parents=("parent-a",), seed=99, retry_limit=1,
-            early_stopping="median", inference="empirical_bayes",
-            mcmc=McmcConfig(100, 50, 2),
+            early_stopping="median", mcmc=McmcConfig(100, 50, 2),
         )
         payload = job_config_to_dict(config, EXECUTOR, status="running")
+        assert "inference" not in payload
         back, executor, status = job_config_from_dict(payload)
         assert back == config
         assert executor == EXECUTOR
         assert status == "running"
+        # Stores written while inference was a setting say "mcmc".
+        payload["inference"] = "mcmc"
+        back, _, _ = job_config_from_dict(payload)
+        assert back == config
 
     def test_external_executor_round_trip(self):
         spec = ExecutorSpec(kind="external", command=("python", "train.py",
@@ -228,6 +231,8 @@ class TestJsonSchema:
         lambda p: p.__setitem__("executor", {"kind": "mystery"}),
         lambda p: p.__setitem__("max_trials", 0),
         lambda p: p.__setitem__("strategy", "grid"),
+        lambda p: p.__setitem__("inference", "empirical_bayes"),
+        lambda p: p.__setitem__("inference", "vi"),
     ])
     def test_malformed_payloads_raise(self, mutation):
         payload = job_config_to_dict(make_config(), EXECUTOR)
