@@ -109,8 +109,6 @@ def cmd_describe(args: argparse.Namespace) -> int:
     store = _store_from(args)
     try:
         summary = store.describe(args.job_id)
-    except NotFoundError as exc:
-        return _fail(str(exc), EXIT_JOB_FAILURE)
     except StoreError as exc:
         return _fail(str(exc), EXIT_JOB_FAILURE)
     counts = summary["counts"]

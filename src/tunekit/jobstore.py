@@ -6,11 +6,15 @@ Layout per job under the store root::
     <root>/<job_id>/trials/<id>.json    per-trial snapshot at status changes
     <root>/<job_id>/events.log          append-only JSON-lines event journal
 
-The event journal is the source of truth: job state is reconstructed by
-replaying it over job.json.  job.json is always written via a temp file
-and rename, so readers never observe it half-written.  A torn final line
-in events.log (a crash mid-append) is skipped with a warning; corruption
-anywhere else is an error.
+The event journal is the source of truth.  :func:`apply_event` is the
+only code that changes job state in response to an event: the coordinator
+applies each event it journals through it, and :func:`replay_events`
+folds a whole journal with it, so live and replayed state agree.
+job.json contributes only the configuration and a requested ``stopping``.
+Files other than the journal are written to a uniquely named temp file
+and renamed, so readers never observe them half-written.  A torn final
+line in events.log (a crash mid-append) is skipped with a warning;
+corruption anywhere else is an error.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-import time
-from dataclasses import replace
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -75,13 +78,18 @@ class CorruptStoreError(StoreError):
 
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    # A name of its own per write: concurrent writers never share a temp file.
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class JobStore:
@@ -226,9 +234,10 @@ class JobStore:
                                              TuningJobState]:
         """Rebuild job state by replaying the journal over job.json.
 
-        Trials left running by a crash are downgraded to a failed attempt:
-        eligible for relaunch if attempts remain, terminally failed
-        otherwise.
+        A pure read: trials a crash left running stay ``running`` here, and
+        the coordinator journals their interrupted attempts when it resumes
+        the job.  The status is the journal's, or ``stopping`` when job.json
+        asks for a stop.
         """
         payload = self.read_job_file(job_id)
         try:
@@ -236,15 +245,8 @@ class JobStore:
         except JobConfigError as exc:
             raise CorruptStoreError(f"invalid job.json for {job_id!r}: {exc}") from exc
         state = replay_events(config, self.read_events(job_id))
-        state.status = status if status in ("stopping",) else state.status
-        for trial in state.trials.values():
-            if trial.status == "running":
-                if trial.attempts <= config.retry_limit:
-                    trial.status = "pending"
-                else:
-                    trial.status = "failed"
-                    trial.failure_reason = "interrupted"
-                    trial.finished = trial.finished or time.time()
+        if status == "stopping":
+            state.status = status
         return config, executor, state
 
     # -- read-only views ---------------------------------------------------
@@ -286,60 +288,66 @@ class JobStore:
         }
 
 
+def apply_event(config: TuningJobConfig, state: TuningJobState,
+                event: dict) -> None:
+    """Apply one journal entry to ``state``; raises on malformed entries."""
+    etype = event.get("type")
+    if etype == "job_status_changed":
+        state.status = str(event["status"])
+        return
+    trial_id = event.get("trial_id")
+    if not trial_id:
+        raise CorruptStoreError(f"event without trial_id: {event!r}")
+    if etype == "trial_launched":
+        seen = state.trials.get(trial_id)
+        cfg = Configuration(dict(event["config"]))
+        encoded = (np.array(event["encoded"], dtype=float)
+                   if "encoded" in event else encode(cfg, config.space))
+        if seen is None:
+            state.trials[trial_id] = TrialRecord(
+                trial_id=trial_id, config=cfg, encoded=encoded,
+                status="running", curve=MetricCurve(trial_id),
+                attempts=int(event.get("attempt", 1)),
+                started=float(event.get("ts", 0.0)),
+            )
+        else:
+            # Relaunch of the same trial (retry): fresh curve, same config.
+            seen.status = "running"
+            seen.attempts = int(event.get("attempt", seen.attempts + 1))
+            seen.curve = MetricCurve(trial_id)
+            seen.final_value = None
+            seen.started = float(event.get("ts", seen.started or 0.0))
+            seen.finished = None
+        return
+    trial = state.trials.get(trial_id)
+    if trial is None:
+        raise CorruptStoreError(
+            f"event for unknown trial {trial_id!r}: {event!r}")
+    if etype == "metric_reported":
+        trial.curve.append(int(event["iteration"]), float(event["value"]))
+    elif etype == "trial_completed":
+        trial.status = "completed"
+        trial.final_value = float(event["final_value"])
+        trial.finished = float(event.get("ts", 0.0))
+    elif etype == "trial_stopped":
+        trial.status = "early_stopped"
+        trial.final_value = float(event["final_value"])
+        trial.finished = float(event.get("ts", 0.0))
+    elif etype == "trial_failed":
+        trial.failure_reason = str(event.get("reason", "unknown"))
+        if bool(event.get("terminal", True)):
+            trial.status = "failed"
+            trial.finished = float(event.get("ts", 0.0))
+        else:
+            trial.status = "pending"
+            trial.final_value = None
+    else:
+        raise CorruptStoreError(f"unknown event type {etype!r}")
+
+
 def replay_events(config: TuningJobConfig, events: list[dict]) -> TuningJobState:
     """Fold a journal into a TuningJobState. Pure; raises on malformed entries."""
     state = TuningJobState(status="created")
     for event in events:
-        etype = event.get("type")
-        if etype == "job_status_changed":
-            state.status = str(event["status"])
-            continue
-        trial_id = event.get("trial_id")
-        if not trial_id:
-            raise CorruptStoreError(f"event without trial_id: {event!r}")
-        if etype == "trial_launched":
-            seen = state.trials.get(trial_id)
-            cfg = Configuration(dict(event["config"]))
-            encoded = (np.array(event["encoded"], dtype=float)
-                       if "encoded" in event else encode(cfg, config.space))
-            if seen is None:
-                state.trials[trial_id] = TrialRecord(
-                    trial_id=trial_id, config=cfg, encoded=encoded,
-                    status="running", curve=MetricCurve(trial_id),
-                    attempts=int(event.get("attempt", 1)),
-                    started=float(event.get("ts", 0.0)),
-                )
-            else:
-                # Relaunch of the same trial (retry): fresh curve, same config.
-                seen.status = "running"
-                seen.attempts = int(event.get("attempt", seen.attempts + 1))
-                seen.curve = MetricCurve(trial_id)
-                seen.final_value = None
-                seen.started = float(event.get("ts", seen.started or 0.0))
-                seen.finished = None
-            continue
-        trial = state.trials.get(trial_id)
-        if trial is None:
-            raise CorruptStoreError(
-                f"event for unknown trial {trial_id!r}: {event!r}")
-        if etype == "metric_reported":
-            trial.curve.append(int(event["iteration"]), float(event["value"]))
-        elif etype == "trial_completed":
-            trial.status = "completed"
-            trial.final_value = float(event["final_value"])
-            trial.finished = float(event.get("ts", 0.0))
-        elif etype == "trial_stopped":
-            trial.status = "early_stopped"
-            trial.final_value = float(event["final_value"])
-            trial.finished = float(event.get("ts", 0.0))
-        elif etype == "trial_failed":
-            trial.failure_reason = str(event.get("reason", "unknown"))
-            if bool(event.get("terminal", True)):
-                trial.status = "failed"
-                trial.finished = float(event.get("ts", 0.0))
-            else:
-                trial.status = "pending"
-                trial.final_value = None
-        else:
-            raise CorruptStoreError(f"unknown event type {etype!r}")
+        apply_event(config, state, event)
     return state

@@ -12,15 +12,19 @@ configuration is written to an ``hparams.json`` in the trial's working
 directory, the environment carries ``TUNER_TRIAL_ID`` and
 ``TUNER_HPARAMS_FILE``, and the child reports metrics by printing lines of
 the form ``tuner-metric name=<ident> iteration=<uint> value=<float>`` to
-stdout.  Exit code 0 means success.
+stdout.  Exit code 0 means success.  A non-finite objective value (``nan``,
+``inf``, or a literal that overflows) fails the attempt.  Each child leads
+its own process group, and stopping it kills the whole group.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
+import signal
 import subprocess
 import tempfile
 import threading
@@ -58,7 +62,8 @@ ENV_HPARAMS_FILE = "TUNER_HPARAMS_FILE"
 
 METRIC_LINE = re.compile(
     r"^tuner-metric\s+name=([A-Za-z_][A-Za-z0-9_.-]*)\s+iteration=(\d+)\s+"
-    r"value=([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*$"
+    r"value=([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+    r"|[-+]?(?i:nan|inf(?:inity)?))\s*$"
 )
 
 _POLL_INTERVAL = 0.05
@@ -235,6 +240,14 @@ class BuiltinExecutor:
         self._pool.shutdown(wait=True)
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL the child's process group; call only before reaping it."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
 class ExternalExecutor:
     """Runs each trial as a subprocess under the stdout metric protocol."""
 
@@ -250,8 +263,6 @@ class ExternalExecutor:
         self._pool = ThreadPoolExecutor(max_workers=max_workers,
                                         thread_name_prefix="trial")
         self._stops = _StopFlags()
-        self._procs_lock = threading.Lock()
-        self._procs: dict[str, subprocess.Popen] = {}
 
     @property
     def spec(self) -> ExecutorSpec:
@@ -290,17 +301,16 @@ class ExternalExecutor:
         try:
             proc = subprocess.Popen(
                 self._command_for(trial_dir, trial_id),
-                cwd=trial_dir, env=env, text=True,
+                cwd=trial_dir, env=env, text=True, start_new_session=True,
                 stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
             )
         except OSError as exc:
             logger.warning("trial %s failed to spawn: %s", trial_id, exc)
             emit(TrialEvent("failed", trial_id, reason="spawn_failure"))
             return
-        with self._procs_lock:
-            self._procs[trial_id] = proc
 
         saw_objective = False
+        non_finite = threading.Event()
 
         def consume_stdout() -> None:
             nonlocal saw_objective
@@ -310,6 +320,9 @@ class ExternalExecutor:
                     continue
                 name, iteration, value = match.groups()
                 if name == self._metric:
+                    if not math.isfinite(float(value)):
+                        non_finite.set()
+                        break
                     saw_objective = True
                 emit(TrialEvent("metric", trial_id, name, int(iteration),
                                 float(value)))
@@ -318,29 +331,23 @@ class ExternalExecutor:
         reader = threading.Thread(target=consume_stdout, daemon=True)
         reader.start()
         deadline = time.monotonic() + self._spec.timeout
-        timed_out = False
         while True:
-            if stop.is_set():
-                proc.kill()
-                proc.wait()
-                reader.join(timeout=5.0)
-                return
-            if time.monotonic() >= deadline:
-                timed_out = True
-                proc.kill()
-                proc.wait()
+            timed_out = time.monotonic() >= deadline
+            if stop.is_set() or non_finite.is_set() or timed_out:
+                _kill_group(proc)
                 break
             try:
                 proc.wait(timeout=_POLL_INTERVAL)
                 break
             except subprocess.TimeoutExpired:
                 continue
+        proc.wait()
         reader.join(timeout=5.0)
-        with self._procs_lock:
-            self._procs.pop(trial_id, None)
         if stop.is_set():
             return
-        if timed_out:
+        if non_finite.is_set():
+            emit(TrialEvent("failed", trial_id, reason="non_finite_metric"))
+        elif timed_out:
             emit(TrialEvent("failed", trial_id, reason="timeout"))
         elif proc.returncode != 0:
             emit(TrialEvent("failed", trial_id,
@@ -354,12 +361,8 @@ class ExternalExecutor:
         self._stops.set(trial_id)
 
     def shutdown(self) -> None:
+        # Each trial thread sees its flag within one poll and kills its group.
         self._stops.set_all()
-        with self._procs_lock:
-            procs = list(self._procs.values())
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
         self._pool.shutdown(wait=True)
 
 

@@ -4,9 +4,10 @@ One coordinator (the thread calling :func:`run_job`) owns all mutable job
 state.  Trials execute concurrently through an executor and talk back
 only via an ordered event queue.  Whenever a slot frees, the coordinator
 refits the surrogate on everything observed so far and proposes the next
-candidate, so slots never wait for each other.  Every state transition is
-journaled to the store before the coordinator acts on it, which makes a
-crash at any event boundary recoverable by replay.
+candidate, so slots never wait for each other.  Handlers only decide what
+happens: each transition is journaled first and then applied through
+:func:`~tunekit.jobstore.apply_event`, the transition function replay
+uses, so a crash at any event boundary is recoverable by replay.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .jobs import (
     TuningJobState,
     validate_job_config,
 )
-from .jobstore import JobStore, NotFoundError, StoreError
+from .jobstore import JobStore, NotFoundError, StoreError, apply_event
 from .runner import Executor, TrialEvent
 from .space import (
     Configuration,
@@ -39,7 +40,7 @@ from .space import (
     validate_value,
 )
 from .sobol import scrambled_sobol_points
-from .stopping import MetricCurve, median_rule
+from .stopping import median_rule
 from .surrogate import CholeskyFailure, fit_posterior
 
 logger = logging.getLogger(__name__)
@@ -132,13 +133,28 @@ def next_candidate(state: TuningJobState, config: TuningJobConfig,
     return propose(ctx, propose_seed)
 
 
+def _median_stops(state: TuningJobState, config: TuningJobConfig,
+                  trial: TrialRecord, iteration: int) -> bool:
+    """Whether the median rule, if enabled, stops ``trial`` at ``iteration``.
+
+    The trial is compared against the curves of completed trials.
+    """
+    if config.early_stopping != "median":
+        return False
+    completed = [t.curve for t in state.trials.values()
+                 if t.status == "completed"]
+    decision = median_rule(trial.curve, completed, iteration,
+                           config.objective.goal)
+    return decision.should_stop
+
+
 def on_metric_report(state: TuningJobState, config: TuningJobConfig,
                      trial_id: str, iteration: int, value: float) -> bool:
     """Record one metric report; return True when the trial should stop.
 
-    Appends to the trial's curve and, with median early stopping enabled,
-    compares the trial against fully completed curves at this iteration.
-    Reports for trials already terminal are ignored (returns False).
+    Appends to the trial's curve and applies the median rule when it is
+    enabled.  Reports for trials already terminal are ignored (returns
+    False).
 
     Raises
     ------
@@ -150,14 +166,9 @@ def on_metric_report(state: TuningJobState, config: TuningJobConfig,
         raise UnknownTrialError(trial_id)
     if trial.status != "running":
         return False
-    trial.curve.append(iteration, value)
-    if config.early_stopping != "median":
-        return False
-    completed = [t.curve for t in state.trials.values()
-                 if t.status == "completed"]
-    decision = median_rule(trial.curve, completed, iteration,
-                           config.objective.goal)
-    return decision.should_stop
+    apply_event(config, state, {"type": "metric_reported", "trial_id": trial_id,
+                                "iteration": iteration, "value": value})
+    return _median_stops(state, config, trial, iteration)
 
 
 def merge_warm_start(parents: Iterable[tuple[TuningJobConfig, Iterable[TrialRecord]]],
@@ -194,12 +205,21 @@ class _Coordinator:
         self.events: queue.Queue[TrialEvent] = queue.Queue()
         self.stop_requested = False
 
-    # -- persistence helpers (store failures abort the job) ---------------
+    # -- recording (store failures abort the job) ------------------------
 
-    def _journal(self, event: dict) -> None:
+    def _record(self, event: dict) -> None:
+        """Journal ``event``, apply it to the state, snapshot its trial."""
         event.setdefault("ts", time.time())
+        job_id = self.config.job_id
+        self._write(self.store.append_event, job_id, event)
+        apply_event(self.config, self.state, event)
+        if "trial_id" in event and event["type"] != "metric_reported":
+            self._write(self.store.write_trial, job_id,
+                        self.state.trials[event["trial_id"]])
+
+    def _write(self, store_method, *args) -> None:
         try:
-            self.store.append_event(self.config.job_id, event)
+            store_method(*args)
         except (StoreError, OSError) as exc:
             self._abort(exc)
 
@@ -211,76 +231,42 @@ class _Coordinator:
                 logger.exception("stop request failed during abort")
         raise JobAborted(f"store failure: {cause}") from cause
 
-    def _snapshot_trial(self, trial: TrialRecord) -> None:
-        try:
-            self.store.write_trial(self.config.job_id, trial)
-        except (StoreError, OSError) as exc:
-            self._abort(exc)
-
     def _set_job_status(self, status: str) -> None:
-        self._journal({"type": "job_status_changed", "status": status})
-        self.state.status = status
-        try:
-            self.store.set_status(self.config.job_id, status)
-        except (StoreError, OSError) as exc:
-            self._abort(exc)
+        self._record({"type": "job_status_changed", "status": status})
+        self._write(self.store.set_status, self.config.job_id, status)
 
     # -- launching ---------------------------------------------------------
 
-    def _launch_new(self) -> None:
-        config = self.config
-        index = len(self.state.trials)
-        trial_id = f"trial-{index + 1:04d}"
-        candidate_seed = _derive_seed(config.seed, _SEED_CANDIDATE, index)
-        candidate = next_candidate(self.state, config, candidate_seed)
-        encoded = encode(candidate, config.space)
-        now = time.time()
-        self._journal({
-            "type": "trial_launched", "trial_id": trial_id, "attempt": 1,
+    def _launch(self, trial_id: str, candidate: Configuration,
+                encoded: np.ndarray, attempt: int, seed_index: int) -> None:
+        self._record({
+            "type": "trial_launched", "trial_id": trial_id, "attempt": attempt,
             "config": dict(candidate.values),
-            "encoded": [float(v) for v in encoded], "ts": now,
+            "encoded": [float(v) for v in encoded],
         })
-        record = TrialRecord(
-            trial_id=trial_id, config=candidate, encoded=encoded,
-            status="running", curve=MetricCurve(trial_id), attempts=1,
-            started=now,
-        )
-        self.state.trials[trial_id] = record
-        self._snapshot_trial(record)
-        executor_seed = _derive_seed(config.seed, _SEED_EXECUTOR, index, 1)
+        executor_seed = _derive_seed(self.config.seed, _SEED_EXECUTOR,
+                                     seed_index, attempt)
         self.executor.launch(trial_id, candidate, executor_seed,
                              self.events.put)
 
-    def _relaunch(self, trial_id: str) -> None:
-        record = self.state.trials[trial_id]
-        attempt = record.attempts + 1
-        now = time.time()
-        self._journal({
-            "type": "trial_launched", "trial_id": trial_id, "attempt": attempt,
-            "config": dict(record.config.values),
-            "encoded": [float(v) for v in record.encoded], "ts": now,
-        })
-        record.status = "running"
-        record.attempts = attempt
-        record.curve = MetricCurve(trial_id)
-        record.final_value = None
-        record.started = now
-        record.finished = None
-        self._snapshot_trial(record)
-        executor_seed = _derive_seed(self.config.seed, _SEED_EXECUTOR,
-                                     _trial_index(trial_id), attempt)
-        self.executor.launch(trial_id, record.config, executor_seed,
-                             self.events.put)
-
     def _fill_slots(self) -> None:
-        config = self.config
-        while len(self.state.running_ids) < config.max_parallel:
-            retries = sorted(self.state.retry_ids)
+        config, state = self.config, self.state
+        while len(state.running_ids) < config.max_parallel:
+            retries = sorted(state.retry_ids)
+            # A first attempt seeds its executor from the 0-based launch
+            # index, a retry from the 1-based trial number.
             if retries:
-                self._relaunch(retries[0])
+                trial = state.trials[retries[0]]
+                self._launch(trial.trial_id, trial.config, trial.encoded,
+                             trial.attempts + 1, _trial_index(trial.trial_id))
             elif (not self.stop_requested
-                  and len(self.state.trials) < config.max_trials):
-                self._launch_new()
+                  and len(state.trials) < config.max_trials):
+                index = len(state.trials)
+                candidate = next_candidate(
+                    state, config,
+                    _derive_seed(config.seed, _SEED_CANDIDATE, index))
+                self._launch(f"trial-{index + 1:04d}", candidate,
+                             encode(candidate, config.space), 1, index)
             else:
                 break
 
@@ -296,24 +282,16 @@ class _Coordinator:
         last = trial.curve.final_iteration
         if last is not None and event.iteration <= last:
             return
-        self._journal({
+        self._record({
             "type": "metric_reported", "trial_id": event.trial_id,
             "iteration": int(event.iteration), "value": float(event.value),
         })
-        should_stop = on_metric_report(self.state, config, event.trial_id,
-                                       event.iteration, event.value)
-        if not should_stop:
+        if not _median_stops(self.state, config, trial, event.iteration):
             return
-        final = trial.curve.best_value(config.objective.goal)
-        now = time.time()
-        self._journal({
+        self._record({
             "type": "trial_stopped", "trial_id": event.trial_id,
-            "final_value": float(final), "ts": now,
+            "final_value": float(trial.curve.best_value(config.objective.goal)),
         })
-        trial.status = "early_stopped"
-        trial.final_value = float(final)
-        trial.finished = now
-        self._snapshot_trial(trial)
         self.executor.request_stop(event.trial_id)
 
     def _handle_completed(self, event: TrialEvent) -> None:
@@ -324,36 +302,20 @@ class _Coordinator:
             self._handle_failed(TrialEvent(
                 "failed", event.trial_id, reason="protocol_violation"))
             return
-        final = trial.curve.final_value
-        now = time.time()
-        self._journal({
+        self._record({
             "type": "trial_completed", "trial_id": event.trial_id,
-            "final_value": float(final), "ts": now,
+            "final_value": float(trial.curve.final_value),
         })
-        trial.status = "completed"
-        trial.final_value = float(final)
-        trial.finished = now
-        self._snapshot_trial(trial)
 
     def _handle_failed(self, event: TrialEvent) -> None:
         trial = self.state.trials.get(event.trial_id)
         if trial is None or trial.status != "running":
             return
-        can_retry = trial.attempts <= self.config.retry_limit
-        now = time.time()
-        self._journal({
+        self._record({
             "type": "trial_failed", "trial_id": event.trial_id,
-            "reason": event.reason or "unknown", "terminal": not can_retry,
-            "ts": now,
+            "reason": event.reason or "unknown",
+            "terminal": trial.attempts > self.config.retry_limit,
         })
-        trial.failure_reason = event.reason or "unknown"
-        if can_retry:
-            trial.status = "pending"
-            trial.final_value = None
-        else:
-            trial.status = "failed"
-            trial.finished = now
-        self._snapshot_trial(trial)
 
     def _handle(self, event: TrialEvent) -> None:
         if event.kind == "metric":
@@ -374,7 +336,6 @@ class _Coordinator:
             return
         if status == "stopping":
             self.stop_requested = True
-            self.state.status = "stopping"
 
     def _done(self) -> bool:
         if self.state.running_ids or self.state.retry_ids:
@@ -390,6 +351,10 @@ class _Coordinator:
         self.stop_requested = self.state.status == "stopping"
         if self.state.status == "completed":
             return self.state
+        # A crash leaves the attempts it interrupted running in the journal.
+        for trial_id in self.state.running_ids:
+            self._handle_failed(TrialEvent("failed", trial_id,
+                                           reason="interrupted"))
         if self.state.status != "stopping":
             self._set_job_status("running")
         while True:

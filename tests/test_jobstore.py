@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -96,6 +98,36 @@ class TestLifecycle:
         store.set_status("job-a", "completed")
         leftovers = [p for p in store.job_dir("job-a").rglob("*.tmp")]
         assert leftovers == []
+
+    def test_concurrent_status_writes(self, store):
+        # More writers than cores, switching often: each write must get a
+        # temp file of its own.  Lost updates are possible; errors are not.
+        store.create_job(make_config(), EXECUTOR)
+        errors = []
+
+        def hammer(status):
+            for _ in range(300):
+                try:
+                    store.set_status("job-a", status)
+                except Exception as exc:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(status,))
+                   for status in ("running", "stopping") * 2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        payload = json.loads((store.job_dir("job-a") / "job.json").read_text())
+        assert payload["status"] in ("running", "stopping")
+        assert list(store.job_dir("job-a").rglob("*.tmp")) == []
 
     def test_missing_job_errors(self, store):
         with pytest.raises(NotFoundError):
@@ -260,23 +292,19 @@ class TestLoadJob:
         assert loaded_executor == EXECUTOR
         assert state.trials == {}
 
-    def test_running_at_crash_becomes_pending(self, store):
-        store.create_job(make_config(), EXECUTOR)
-        store.append_event("job-a", launched("trial-0001", attempt=1))
-        store.append_event("job-a", metric("trial-0001", 1, 2.0))
-        _, _, state = store.load_job("job-a")
-        trial = state.trials["trial-0001"]
-        assert trial.status == "pending"
-        assert state.retry_ids == ["trial-0001"]
-
-    def test_exhausted_attempts_become_interrupted(self, store):
-        config = make_config(retry_limit=1)
-        store.create_job(config, EXECUTOR)
+    def test_running_trial_is_not_rewritten(self, store):
+        # Crash handling belongs to resume: loading is a pure replay, so a
+        # trial with its retries used up keeps the journal's fields.
+        store.create_job(make_config(retry_limit=1), EXECUTOR)
         store.append_event("job-a", launched("trial-0001", attempt=2))
-        _, _, state = store.load_job("job-a")
-        trial = state.trials["trial-0001"]
-        assert trial.status == "failed"
-        assert trial.failure_reason == "interrupted"
+        store.append_event("job-a", metric("trial-0001", 1, 2.0))
+        loads = [store.load_job("job-a")[2].trials["trial-0001"]
+                 for _ in range(2)]
+        for trial in loads:
+            assert trial.status == "running"
+            assert trial.attempts == 2
+            assert trial.finished is None and trial.failure_reason is None
+        assert loads[0].curve.points == loads[1].curve.points == [(1, 2.0)]
 
     def test_stop_request_surfaces(self, store):
         store.create_job(make_config(), EXECUTOR)
@@ -326,6 +354,12 @@ class TestDescribe:
         assert summary["best_trial"] == "trial-0002"
         assert summary["best_value"] == 1.0
         assert summary["best_config"] == {"x1": 0.0, "x2": 1.0}
+
+    def test_launched_trial_counts_as_running(self, store):
+        store.create_job(make_config(), EXECUTOR)
+        store.append_event("job-a", launched("trial-0001"))
+        counts = store.describe("job-a")["counts"]
+        assert counts["running"] == 1 and counts["pending"] == 0
 
     def test_event_types_constant_is_closed(self):
         assert EVENT_TYPES == {

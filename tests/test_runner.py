@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 import threading
 import time
@@ -55,6 +56,11 @@ class TestMetricLine:
         ("tuner-metric name=a.b-c iteration=1 value=.5", ("a.b-c", "1", ".5")),
         ("tuner-metric name=x iteration=0 value=+3.", ("x", "0", "+3.")),
         ("tuner-metric name=_m iteration=2 value=1E+8  ", ("_m", "2", "1E+8")),
+        ("tuner-metric name=loss iteration=1 value=nan", ("loss", "1", "nan")),
+        ("tuner-metric name=loss iteration=1 value=-NaN", ("loss", "1", "-NaN")),
+        ("tuner-metric name=loss iteration=1 value=+inf", ("loss", "1", "+inf")),
+        ("tuner-metric name=loss iteration=1 value=-Infinity",
+         ("loss", "1", "-Infinity")),
     ])
     def test_valid_lines(self, line, groups):
         match = METRIC_LINE.match(line)
@@ -67,6 +73,8 @@ class TestMetricLine:
         "tuner-metric name=loss iteration=-1 value=1",
         "tuner-metric name=loss iteration=1.5 value=1",
         "tuner-metric name=loss iteration=1 value=abc",
+        "tuner-metric name=loss iteration=1 value=nanx",
+        "tuner-metric name=loss iteration=1 value=infinit",
         "tuner-metric name=loss iteration=1 value=1 extra",
         "xtuner-metric name=loss iteration=1 value=1",
         "loss 1 0.5",
@@ -358,3 +366,65 @@ class TestExternalExecutor:
             executor.shutdown()
         assert not sink.terminal.is_set()
         assert all(e.kind == "metric" for e in sink.events)
+
+    @pytest.mark.parametrize("script", [
+        "echo 'tuner-metric name=loss iteration=1 value=0.5'; "
+        "echo 'tuner-metric name=loss iteration=2 value=nan'; sleep 30",
+        "echo 'tuner-metric name=loss iteration=1 value=1e999'; sleep 30",
+    ])
+    def test_non_finite_objective_fails_attempt(self, script, tmp_path):
+        start = time.monotonic()
+        sink = run_external(["sh", "-c", script], tmp_path, timeout=60.0)
+        assert time.monotonic() - start < 10.0
+        assert sink.last.kind == "failed"
+        assert sink.last.reason == "non_finite_metric"
+        values = [e.value for e in sink.metrics("loss")]
+        assert values == ([0.5] if "0.5" in script else [])
+
+    def test_timeout_kills_process_group(self, tmp_path):
+        start = time.monotonic()
+        sink = run_external(
+            ["sh", "-c", "sleep 37 & echo $$ $! > pids; wait; echo done"],
+            tmp_path, timeout=1.0)
+        assert time.monotonic() - start < 3.0
+        assert sink.last.kind == "failed" and sink.last.reason == "timeout"
+        assert_group_gone(tmp_path / "trials" / "trial-0001" / "pids")
+
+    def test_shutdown_kills_process_group(self, tmp_path):
+        spec = ExecutorSpec(
+            kind="external", workdir=str(tmp_path / "trials"), timeout=60.0,
+            command=("sh", "-c", "sleep 37 & echo $$ $! > pids; echo "
+                     "'tuner-metric name=loss iteration=1 value=0.5'; wait"))
+        executor = ExternalExecutor(spec, "loss", 1)
+        sink = Collector()
+        try:
+            executor.launch("trial-0001", Configuration({"x": 1.0}), 0, sink)
+            deadline = time.monotonic() + 10.0
+            while not sink.metrics() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert sink.metrics(), "child produced no metrics"
+        finally:
+            executor.shutdown()
+        assert not sink.terminal.is_set()
+        assert_group_gone(tmp_path / "trials" / "trial-0001" / "pids")
+
+
+def assert_group_gone(pids_file) -> None:
+    """The shell's group and its backgrounded ``sleep`` are both gone.
+
+    Killed members may linger briefly as zombies until they are reaped.
+    """
+    pgid, grandchild = map(int, pids_file.read_text().split())
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+            os.kill(grandchild, 0)
+        except ProcessLookupError:
+            with pytest.raises(ProcessLookupError):
+                os.kill(grandchild, 0)
+            with pytest.raises(ProcessLookupError):
+                os.killpg(pgid, 0)
+            return
+        time.sleep(0.05)
+    pytest.fail(f"process group {pgid} outlived its trial")

@@ -16,7 +16,7 @@ from tunekit.jobs import (
     TuningJobConfig,
     TuningJobState,
 )
-from tunekit.jobstore import JobStore, StoreError
+from tunekit.jobstore import JobStore, StoreError, replay_events
 from tunekit.runner import ExecutorSpec, TrialEvent, make_executor
 from tunekit.scheduler import (
     JobAborted,
@@ -612,6 +612,34 @@ class TestRunJob:
         assert store.read_status(config.job_id) == "completed"
         store.close()
 
+    def test_live_state_equals_replayed_journal(self, tmp_path):
+        curve = get_benchmark("curve-sim")
+        spec = ExecutorSpec(kind="builtin", benchmark="curve-sim",
+                            iterations=20, delay=0.001)
+        config = make_config(space=curve.space, max_trials=10, max_parallel=2,
+                             early_stopping="median", retry_limit=1, seed=17)
+        inner = make_executor(spec, "loss", 2)
+        executor = FlakyExecutor(inner, {"trial-0002": 1, "trial-0004": 99})
+        state = run_to_completion(tmp_path / "s", config, executor=executor)
+        inner.shutdown()
+        assert state.count("early_stopped") >= 1
+        assert state.trials["trial-0002"].attempts == 2
+        assert state.trials["trial-0004"].status == "failed"
+
+        store = JobStore(tmp_path / "s")
+        replayed = replay_events(config, store.read_events(config.job_id))
+        store.close()
+        assert replayed.status == state.status == "completed"
+        assert list(replayed.trials) == list(state.trials)
+        for tid, live in state.trials.items():
+            again = replayed.trials[tid]
+            fields = ("status", "final_value", "attempts", "started",
+                      "finished", "failure_reason", "config")
+            assert ([getattr(again, f) for f in fields]
+                    == [getattr(live, f) for f in fields]), tid
+            assert again.curve.points == live.curve.points, tid
+            assert np.array_equal(again.encoded, live.encoded), tid
+
     def test_resume_of_completed_job_is_noop(self, tmp_path):
         config = make_config(max_trials=4)
         run_to_completion(tmp_path / "s", config)
@@ -664,3 +692,61 @@ class TestRunJob:
         # trial is already model-based rather than a space-filling point.
         first = state.trials["trial-0001"]
         assert dict(first.config) != _design_point(child, 0).values
+
+
+# --- resuming a crashed job ------------------------------------------------
+
+def crashed_store(root, config, attempt):
+    """A store whose journal ends with trial-0001 in flight."""
+    store = JobStore(root)
+    store.create_job(config, FAST_BRANIN)
+    cfg = Configuration({"x1": 1.0, "x2": 2.0})
+    store.append_event(config.job_id, {
+        "type": "trial_launched", "trial_id": "trial-0001",
+        "attempt": attempt, "config": dict(cfg.values),
+        "encoded": [float(v) for v in encode(cfg, config.space)], "ts": 1.0})
+    store.append_event(config.job_id, {
+        "type": "metric_reported", "trial_id": "trial-0001",
+        "iteration": 1, "value": 5.0, "ts": 2.0})
+    store.close()
+
+
+def trial_events(root, config, trial_id):
+    store = JobStore(root)
+    events = [e for e in store.read_events(config.job_id)
+              if e.get("trial_id") == trial_id]
+    store.close()
+    return events
+
+
+class TestResume:
+    def test_running_at_crash_relaunches_as_next_attempt(self, tmp_path):
+        config = make_config(max_trials=2, retry_limit=2)
+        crashed_store(tmp_path / "s", config, attempt=1)
+        state = run_to_completion(tmp_path / "s", config)
+        trial = state.trials["trial-0001"]
+        assert trial.status == "completed" and trial.attempts == 2
+        events = trial_events(tmp_path / "s", config, "trial-0001")
+        assert [e["type"] for e in events] == [
+            "trial_launched", "metric_reported", "trial_failed",
+            "trial_launched", "metric_reported", "trial_completed"]
+        failed = events[2]
+        assert (failed["reason"], failed["terminal"]) == ("interrupted", False)
+        assert events[3]["attempt"] == 2
+        assert events[3]["config"] == events[0]["config"]
+        assert state.terminal_count == 2
+
+    def test_exhausted_attempts_fail_as_interrupted(self, tmp_path):
+        config = make_config(max_trials=2, retry_limit=1)
+        crashed_store(tmp_path / "s", config, attempt=2)
+        state = run_to_completion(tmp_path / "s", config)
+        trial = state.trials["trial-0001"]
+        assert trial.status == "failed"
+        assert trial.failure_reason == "interrupted"
+        assert trial.attempts == 2
+        events = trial_events(tmp_path / "s", config, "trial-0001")
+        assert [e["type"] for e in events] == [
+            "trial_launched", "metric_reported", "trial_failed"]
+        assert events[2]["terminal"] is True
+        assert trial.finished == events[2]["ts"]
+        assert state.count("completed") == 1 and state.terminal_count == 2
