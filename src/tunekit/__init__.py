@@ -64,7 +64,6 @@ from .surrogate import (
     fit_posterior,
     kumaraswamy_warp,
     log_marginal_likelihood,
-    matern52_ard,
     predict,
     predict_batch,
 )

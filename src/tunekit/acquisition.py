@@ -169,9 +169,7 @@ def _min_distance(x: np.ndarray, existing: np.ndarray) -> float:
 
 
 def _known_points(ctx: AcquisitionContext) -> np.ndarray:
-    design = ctx.posteriors[0].design if ctx.posteriors else np.zeros(
-        (0, ctx.space.encoded_width))
-    return np.vstack([design, ctx.pending_array])
+    return np.vstack([ctx.posteriors[0].design, ctx.pending_array])
 
 
 def propose(ctx: AcquisitionContext, seed: int | np.random.SeedSequence) -> Configuration:

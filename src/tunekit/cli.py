@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .jobs import JobConfigError, job_config_from_dict
-from .jobstore import JobStore, NotFoundError, StoreError
+from .jobstore import JobStore, StoreError
 from .runner import make_executor
 from .scheduler import JobAborted, ParentNotFoundError, run_job
 
@@ -69,7 +69,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         # Resuming: the stored job, not the file, is authoritative.
         try:
             config, executor_spec, _ = store.load_job(config.job_id)
-        except (StoreError, JobConfigError) as exc:
+        except StoreError as exc:
             return _fail(str(exc), EXIT_JOB_FAILURE)
 
     executor = make_executor(executor_spec, config.objective.name,
@@ -137,8 +137,6 @@ def cmd_stop(args: argparse.Namespace) -> int:
             print(f"job {args.job_id} is already {status}; nothing to stop")
             return EXIT_OK
         store.set_status(args.job_id, "stopping")
-    except NotFoundError as exc:
-        return _fail(str(exc), EXIT_JOB_FAILURE)
     except StoreError as exc:
         return _fail(str(exc), EXIT_JOB_FAILURE)
     print(f"job {args.job_id} marked stopping; running trials will finish")
@@ -149,9 +147,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     store = _store_from(args)
     try:
         config, _, state = store.load_job(args.job_id)
-    except NotFoundError as exc:
-        return _fail(str(exc), EXIT_JOB_FAILURE)
-    except (StoreError, JobConfigError) as exc:
+    except StoreError as exc:
         return _fail(str(exc), EXIT_JOB_FAILURE)
     names = config.space.names()
     header = ["trial_id", "status", "final_value", "started", "finished"] + names

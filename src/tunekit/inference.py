@@ -24,6 +24,7 @@ __all__ = [
     "log_prior",
 ]
 
+_SLICE_WIDTH = 1.0
 _MAX_STEP_OUT = 1000
 _MAX_SHRINK = 200
 
@@ -60,12 +61,11 @@ class McmcConfig:
 
 
 def slice_sample(log_density, x0: np.ndarray, count: int,
-                 rng: np.random.Generator, *, width: float = 1.0,
-                 max_step_out: int = _MAX_STEP_OUT) -> np.ndarray:
+                 rng: np.random.Generator) -> np.ndarray:
     """Draw a Markov chain targeting ``exp(log_density)``.
 
     Each step picks a uniformly random direction, brackets the slice by
-    stepping out in intervals of ``width``, then shrinks uniformly until a
+    stepping out in unit intervals, then shrinks uniformly until a
     point inside the slice is found.  The density may return ``-inf``
     outside its support; the support must be connected along any line for
     the stepping-out procedure to be valid.
@@ -89,7 +89,7 @@ def slice_sample(log_density, x0: np.ndarray, count: int,
     Raises
     ------
     StepOutFailure
-        If a slice cannot be bracketed within ``max_step_out`` expansions.
+        If a slice cannot be bracketed within 1000 expansions.
     """
     x = np.asarray(x0, dtype=float).copy()
     k = x.shape[0]
@@ -103,18 +103,18 @@ def slice_sample(log_density, x0: np.ndarray, count: int,
         level = logp + math.log(rng.uniform())
         # Bracket the slice along x + t * direction.
         u = rng.uniform()
-        t_lo = -width * u
-        t_hi = width * (1.0 - u)
+        t_lo = -_SLICE_WIDTH * u
+        t_hi = _SLICE_WIDTH * (1.0 - u)
         expansions = 0
         while log_density(x + t_lo * direction) > level:
-            t_lo -= width
+            t_lo -= _SLICE_WIDTH
             expansions += 1
-            if expansions > max_step_out:
+            if expansions > _MAX_STEP_OUT:
                 raise StepOutFailure("exceeded step-out expansion limit")
         while log_density(x + t_hi * direction) > level:
-            t_hi += width
+            t_hi += _SLICE_WIDTH
             expansions += 1
-            if expansions > max_step_out:
+            if expansions > _MAX_STEP_OUT:
                 raise StepOutFailure("exceeded step-out expansion limit")
         for _ in range(_MAX_SHRINK):
             t = rng.uniform(t_lo, t_hi)

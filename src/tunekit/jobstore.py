@@ -346,8 +346,17 @@ def apply_event(config: TuningJobConfig, state: TuningJobState,
 
 
 def replay_events(config: TuningJobConfig, events: list[dict]) -> TuningJobState:
-    """Fold a journal into a TuningJobState. Pure; raises on malformed entries."""
+    """Fold a journal into a TuningJobState. Pure; raises on malformed entries.
+
+    A missing or ill-typed field raises ``CorruptStoreError`` naming the
+    1-based index of the event, which is its line in events.log.
+    """
     state = TuningJobState(status="created")
-    for event in events:
-        apply_event(config, state, event)
+    for index, event in enumerate(events, start=1):
+        try:
+            apply_event(config, state, event)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CorruptStoreError(
+                f"malformed journal event {index} for job {config.job_id!r}: "
+                f"{type(exc).__name__}: {exc}") from exc
     return state

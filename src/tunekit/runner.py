@@ -169,20 +169,22 @@ class _StopFlags:
             flag.set()
 
 
-class BuiltinExecutor:
-    """Evaluates registry benchmarks on a thread pool.
+class _PooledExecutor:
+    """Runs each trial's ``_run`` on a thread pool with a per-trial stop flag.
 
-    Emissions are pure given (config, seed): the same trial seed yields
-    the same noise draws regardless of scheduling.
+    Subclasses set ``kind`` to the ``ExecutorSpec.kind`` they accept and
+    implement ``_run(trial_id, config, seed, emit, stop)``.
     """
+
+    kind: str
 
     def __init__(self, spec: ExecutorSpec, objective_metric: str,
                  max_workers: int) -> None:
         validate_executor_spec(spec)
-        if spec.kind != "builtin":
-            raise ExecutorSpecError("BuiltinExecutor requires kind='builtin'")
+        if spec.kind != self.kind:
+            raise ExecutorSpecError(
+                f"{type(self).__name__} requires kind={self.kind!r}")
         self._spec = spec
-        self._benchmark = get_benchmark(spec.benchmark)
         self._metric = objective_metric
         self._pool = ThreadPoolExecutor(max_workers=max_workers,
                                         thread_name_prefix="trial")
@@ -196,6 +198,30 @@ class BuiltinExecutor:
                emit: EmitFn) -> None:
         flag = self._stops.register(trial_id)
         self._pool.submit(self._run, trial_id, config, seed, emit, flag)
+
+    def request_stop(self, trial_id: str) -> None:
+        self._stops.set(trial_id)
+
+    def shutdown(self) -> None:
+        # Each trial sees its flag at its next check and returns (a child
+        # process group is killed within one poll).
+        self._stops.set_all()
+        self._pool.shutdown(wait=True)
+
+
+class BuiltinExecutor(_PooledExecutor):
+    """Evaluates registry benchmarks on a thread pool.
+
+    Emissions are pure given (config, seed): the same trial seed yields
+    the same noise draws regardless of scheduling.
+    """
+
+    kind = "builtin"
+
+    def __init__(self, spec: ExecutorSpec, objective_metric: str,
+                 max_workers: int) -> None:
+        super().__init__(spec, objective_metric, max_workers)
+        self._benchmark = get_benchmark(spec.benchmark)
 
     def _trial_delay(self, config: Configuration) -> float:
         spec = self._spec
@@ -232,13 +258,6 @@ class BuiltinExecutor:
             logger.exception("builtin trial %s raised", trial_id)
             emit(TrialEvent("failed", trial_id, reason="executor_error"))
 
-    def request_stop(self, trial_id: str) -> None:
-        self._stops.set(trial_id)
-
-    def shutdown(self) -> None:
-        self._stops.set_all()
-        self._pool.shutdown(wait=True)
-
 
 def _kill_group(proc: subprocess.Popen) -> None:
     """SIGKILL the child's process group; call only before reaping it."""
@@ -248,30 +267,16 @@ def _kill_group(proc: subprocess.Popen) -> None:
         pass
 
 
-class ExternalExecutor:
+class ExternalExecutor(_PooledExecutor):
     """Runs each trial as a subprocess under the stdout metric protocol."""
+
+    kind = "external"
 
     def __init__(self, spec: ExecutorSpec, objective_metric: str,
                  max_workers: int) -> None:
-        validate_executor_spec(spec)
-        if spec.kind != "external":
-            raise ExecutorSpecError("ExternalExecutor requires kind='external'")
-        self._spec = spec
-        self._metric = objective_metric
+        super().__init__(spec, objective_metric, max_workers)
         self._base_dir = Path(spec.workdir) if spec.workdir else Path(
             tempfile.mkdtemp(prefix="tunekit-trials-"))
-        self._pool = ThreadPoolExecutor(max_workers=max_workers,
-                                        thread_name_prefix="trial")
-        self._stops = _StopFlags()
-
-    @property
-    def spec(self) -> ExecutorSpec:
-        return self._spec
-
-    def launch(self, trial_id: str, config: Configuration, seed: int,
-               emit: EmitFn) -> None:
-        flag = self._stops.register(trial_id)
-        self._pool.submit(self._run, trial_id, config, seed, emit, flag)
 
     def _command_for(self, trial_dir: Path, trial_id: str) -> list[str]:
         substitutions = {
@@ -356,14 +361,6 @@ class ExternalExecutor:
             emit(TrialEvent("failed", trial_id, reason="protocol_violation"))
         else:
             emit(TrialEvent("completed", trial_id))
-
-    def request_stop(self, trial_id: str) -> None:
-        self._stops.set(trial_id)
-
-    def shutdown(self) -> None:
-        # Each trial thread sees its flag within one poll and kills its group.
-        self._stops.set_all()
-        self._pool.shutdown(wait=True)
 
 
 def make_executor(spec: ExecutorSpec, objective_metric: str,

@@ -7,6 +7,11 @@ homoscedastic Gaussian noise.  Fitting is a Cholesky factorisation of the
 noisy kernel matrix with escalating jitter; prediction gives the posterior
 over the latent function value, i.e. the observation noise is not added
 back into predictive variances.
+
+Each GP step has one implementation, which jobs and the public functions
+share: ``_scaled`` (warp), ``_factor`` (Cholesky), ``_lml`` (behind both
+``lml_function`` and ``log_marginal_likelihood``) and ``predict_stack``
+(behind ``predict_batch`` and ``predict``, as a one-member stack).
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ __all__ = [
     "NOISE_BOUNDS",
     "WARP_BOUNDS",
     "kumaraswamy_warp",
-    "matern52_ard",
     "kernel_matrix",
     "fit_posterior",
     "predict",
@@ -40,6 +44,7 @@ __all__ = [
 ]
 
 _SQRT5 = math.sqrt(5.0)
+_LOG_2PI = math.log(2.0 * math.pi)
 
 LENGTHSCALE_BOUNDS = (1e-4, 1e4)
 AMPLITUDE_BOUNDS = (1e-4, 1e4)
@@ -125,19 +130,9 @@ class GpHyperParams:
 
     @classmethod
     def from_log_vector(cls, vec: np.ndarray, width: int) -> "GpHyperParams":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (3 * width + 2,):
-            raise ValueError(
-                f"expected a log vector of length {3 * width + 2}, got {vec.shape}"
-            )
-        x = np.exp(vec)
-        return cls(
-            lengthscales=x[:width],
-            amplitude=float(x[width]),
-            noise_var=float(x[width + 1]),
-            warp_a=x[width + 2:2 * width + 2],
-            warp_b=x[2 * width + 2:],
-        )
+        lengthscales, amplitude, noise_var, warp_a, warp_b = _unpack(vec, width)
+        return cls(lengthscales=lengthscales, amplitude=float(amplitude),
+                   noise_var=float(noise_var), warp_a=warp_a, warp_b=warp_b)
 
     @staticmethod
     def log_bounds(width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,10 +174,6 @@ class GpPosterior:
     alpha: np.ndarray
     scaled_design: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.design.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class PosteriorStack:
@@ -207,6 +198,26 @@ class PosteriorStack:
     chol_inv: np.ndarray
 
 
+def _unpack(log_theta, width: int):
+    """Log vector -> (lengthscales, amplitude, noise_var, warp_a, warp_b)."""
+    x = np.exp(log_theta)
+    if x.shape != (3 * width + 2,):
+        raise ValueError(
+            f"expected a log vector of length {3 * width + 2}, got {x.shape}")
+    return (x[:width], x[width], x[width + 1], x[width + 2:2 * width + 2],
+            x[2 * width + 2:])
+
+
+def _clip(x) -> np.ndarray:
+    """Encoded points as a 2-D array in the cube (the clip absorbs rounding)."""
+    return np.clip(np.atleast_2d(np.asarray(x, dtype=float)), 0.0, 1.0)
+
+
+def _scaled(clipped: np.ndarray, warp_a, warp_b, lengthscales) -> np.ndarray:
+    """Warped inputs over the lengthscales; one call can serve an ensemble."""
+    return (1.0 - (1.0 - clipped ** warp_a) ** warp_b) / lengthscales
+
+
 def kumaraswamy_warp(u, a, b):
     """Kumaraswamy CDF ``1 - (1 - u^a)^b``, elementwise.
 
@@ -217,19 +228,8 @@ def kumaraswamy_warp(u, a, b):
     arr = np.asarray(u, dtype=float)
     if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
         raise ValueError("warp input must lie in [0, 1] (up to 1e-12 slack)")
-    arr = np.clip(arr, 0.0, 1.0)
-    out = 1.0 - (1.0 - arr ** a) ** b
+    out = _scaled(np.clip(arr, 0.0, 1.0), a, b, 1.0)
     return float(out) if np.ndim(u) == 0 and np.ndim(out) == 0 else out
-
-
-def _warp_rows(x: np.ndarray, theta: GpHyperParams) -> np.ndarray:
-    """Apply the coordinate warp to one point or a stack of points.
-
-    Inputs are clipped to [0, 1]; callers are responsible for staying in
-    the encoded cube (validated upstream at encode time).
-    """
-    arr = np.clip(np.atleast_2d(np.asarray(x, dtype=float)), 0.0, 1.0)
-    return 1.0 - (1.0 - arr ** theta.warp_a) ** theta.warp_b
 
 
 def _sq_dists(wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
@@ -268,14 +268,9 @@ def _matern_from_scaled(wa: np.ndarray, wb: np.ndarray, amplitude) -> np.ndarray
 
 def kernel_matrix(x: np.ndarray, x2: np.ndarray, theta: GpHyperParams) -> np.ndarray:
     """Matern-5/2 cross-covariance between two stacks of encoded points."""
-    wa = _warp_rows(x, theta) / theta.lengthscales
-    wb = _warp_rows(x2, theta) / theta.lengthscales
-    return _matern_from_scaled(wa, wb, theta.amplitude)
-
-
-def matern52_ard(x: np.ndarray, x2: np.ndarray, theta: GpHyperParams) -> float:
-    """Kernel value between two single encoded points."""
-    return float(kernel_matrix(np.atleast_2d(x), np.atleast_2d(x2), theta)[0, 0])
+    params = theta.warp_a, theta.warp_b, theta.lengthscales
+    return _matern_from_scaled(_scaled(_clip(x), *params),
+                               _scaled(_clip(x2), *params), theta.amplitude)
 
 
 def _normalize_targets(y: np.ndarray) -> NormalizedTargets:
@@ -306,6 +301,39 @@ def _chol_with_jitter(k_noisy: np.ndarray, amplitude: float) -> np.ndarray:
     )
 
 
+def _factor(scaled: np.ndarray, amplitude, noise_var) -> np.ndarray:
+    """Lower Cholesky factor of the noisy kernel matrix of scaled inputs."""
+    k = _matern_from_scaled(scaled, scaled, amplitude)
+    k.flat[::k.shape[0] + 1] += noise_var
+    return _chol_with_jitter(k, amplitude)
+
+
+def _lml(clipped: np.ndarray, z: np.ndarray, lengthscales, amplitude,
+         noise_var, warp_a, warp_b) -> float:
+    """Log marginal likelihood of normalised targets ``z`` at clipped inputs."""
+    n = z.shape[0]
+    if n == 0:
+        return 0.0
+    chol = _factor(_scaled(clipped, warp_a, warp_b, lengthscales), amplitude,
+                   noise_var)
+    v, _ = _trtrs(chol, z, lower=1)
+    return float(-0.5 * (v @ v) - np.log(chol.diagonal()).sum()
+                 - 0.5 * n * _LOG_2PI)
+
+
+def _checked_data(design, y, width: int) -> tuple[np.ndarray, NormalizedTargets]:
+    """Design as an ``(n, width)`` float array and the normalised targets."""
+    design = np.atleast_2d(np.asarray(design, dtype=float))
+    if design.size == 0:
+        design = design.reshape(0, width)
+    y = np.asarray(y, dtype=float)
+    if design.shape[0] != y.shape[0]:
+        raise ValueError("design and targets disagree on the number of rows")
+    if design.shape[1] != width:
+        raise ValueError("design width does not match the hyperparameters")
+    return design, _normalize_targets(y)
+
+
 def fit_posterior(design: np.ndarray, y: np.ndarray,
                   theta: GpHyperParams) -> GpPosterior:
     """Factorise the model for a fixed hyperparameter setting.
@@ -325,24 +353,14 @@ def fit_posterior(design: np.ndarray, y: np.ndarray,
     CholeskyFailure
         If the noisy kernel matrix cannot be factorised after jitter retries.
     """
-    design = np.atleast_2d(np.asarray(design, dtype=float))
-    if design.size == 0:
-        design = design.reshape(0, theta.width)
-    y = np.asarray(y, dtype=float)
-    if design.shape[0] != y.shape[0]:
-        raise ValueError("design and targets disagree on the number of rows")
-    if design.shape[1] != theta.width:
-        raise ValueError("design width does not match the hyperparameters")
-    targets = _normalize_targets(y)
-    n = design.shape[0]
-    if n == 0:
+    design, targets = _checked_data(design, y, theta.width)
+    if design.shape[0] == 0:
         empty = np.zeros((0, 0))
         return GpPosterior(design, targets, theta, empty, np.zeros(0),
                            design.copy())
-    scaled = _warp_rows(design, theta) / theta.lengthscales
-    k = _matern_from_scaled(scaled, scaled, theta.amplitude)
-    k.flat[::n + 1] += theta.noise_var
-    chol = _chol_with_jitter(k, theta.amplitude)
+    scaled = _scaled(np.clip(design, 0.0, 1.0), theta.warp_a, theta.warp_b,
+                     theta.lengthscales)
+    chol = _factor(scaled, theta.amplitude, theta.noise_var)
     alpha = cho_solve((chol, True), targets.z, check_finite=False)
     return GpPosterior(design, targets, theta, chol, alpha, scaled)
 
@@ -353,20 +371,8 @@ def predict_batch(post: GpPosterior, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     Returns raw-scale means and variances (the normalisation is undone).
     Variances exclude the observation noise and are clamped at zero.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    theta = post.theta
-    if post.n == 0:
-        mean = np.full(x.shape[0], post.targets.mean)
-        var = np.full(x.shape[0], theta.amplitude * post.targets.scale ** 2)
-        return mean, var
-    wx = _warp_rows(x, theta) / theta.lengthscales
-    k_star = _matern_from_scaled(wx, post.scaled_design, theta.amplitude)
-    mean_z = k_star @ post.alpha
-    v = solve_triangular(post.chol, k_star.T, lower=True, check_finite=False)
-    var_z = theta.amplitude - np.einsum("ij,ij->j", v, v)
-    np.maximum(var_z, 0.0, out=var_z)
-    scale = post.targets.scale
-    return post.targets.mean + scale * mean_z, (scale ** 2) * var_z
+    mean, var = predict_stack(stack_posteriors([post]), x)
+    return mean[0], var[0]
 
 
 def predict(post: GpPosterior, x: np.ndarray) -> tuple[float, float]:
@@ -417,7 +423,7 @@ def predict_stack(stack: PosteriorStack,
     in blocks so the ``(S, block, n)`` temporaries stay near
     ``_STACK_BLOCK_ELEMENTS`` entries.
     """
-    x = np.clip(np.atleast_2d(np.asarray(x, dtype=float)), 0.0, 1.0)
+    x = _clip(x)
     members, n = stack.alpha.shape[:2]
     block = max(1, _STACK_BLOCK_ELEMENTS // (members * max(n, 1)))
     if x.shape[0] > block:
@@ -425,8 +431,7 @@ def predict_stack(stack: PosteriorStack,
                  for i in range(0, x.shape[0], block)]
         return (np.concatenate([mean for mean, _ in parts], axis=1),
                 np.concatenate([var for _, var in parts], axis=1))
-    wx = 1.0 - (1.0 - x ** stack.warp_a) ** stack.warp_b
-    wx /= stack.lengthscales
+    wx = _scaled(x, stack.warp_a, stack.warp_b, stack.lengthscales)
     k_star = _matern_from_scaled(wx, stack.scaled_design,
                                  stack.amplitude[:, :, np.newaxis])
     mean_z = (k_star @ stack.alpha)[:, :, 0]
@@ -448,28 +453,12 @@ def lml_function(design: np.ndarray, y: np.ndarray):
     ``log_marginal_likelihood(design, y, theta)``.  It raises
     ``CholeskyFailure`` where that function does.
     """
-    design = np.atleast_2d(np.asarray(design, dtype=float))
+    clipped = _clip(design)
     z = _normalize_targets(y).z
-    n = z.shape[0]
-    if n == 0:
-        return lambda log_theta: 0.0
-    width = design.shape[1]
-    const = -0.5 * n * math.log(2.0 * math.pi)
-    clipped = np.clip(design, 0.0, 1.0)
+    width = clipped.shape[1]
 
     def lml(log_theta: np.ndarray) -> float:
-        x = np.exp(log_theta)
-        if x.shape != (3 * width + 2,):
-            raise ValueError(f"expected a log vector of length "
-                             f"{3 * width + 2}, got {x.shape}")
-        lengthscales, amplitude, noise_var = x[:width], x[width], x[width + 1]
-        warp_a, warp_b = x[width + 2:2 * width + 2], x[2 * width + 2:]
-        scaled = (1.0 - (1.0 - clipped ** warp_a) ** warp_b) / lengthscales
-        k = _matern_from_scaled(scaled, scaled, amplitude)
-        k.flat[::n + 1] += noise_var
-        chol = _chol_with_jitter(k, amplitude)
-        v, _ = _trtrs(chol, z, lower=1)
-        return float(-0.5 * (v @ v) - np.log(chol.diagonal()).sum() + const)
+        return _lml(clipped, z, *_unpack(log_theta, width))
 
     return lml
 
@@ -477,10 +466,6 @@ def lml_function(design: np.ndarray, y: np.ndarray):
 def log_marginal_likelihood(design: np.ndarray, y: np.ndarray,
                             theta: GpHyperParams) -> float:
     """Log marginal likelihood of the normalised targets under ``theta``."""
-    post = fit_posterior(design, y, theta)
-    n = post.n
-    if n == 0:
-        return 0.0
-    z = post.targets.z
-    log_det_half = float(np.sum(np.log(np.diag(post.chol))))
-    return float(-0.5 * z @ post.alpha - log_det_half - 0.5 * n * math.log(2.0 * math.pi))
+    design, targets = _checked_data(design, y, theta.width)
+    return _lml(np.clip(design, 0.0, 1.0), targets.z, theta.lengthscales,
+                theta.amplitude, theta.noise_var, theta.warp_a, theta.warp_b)

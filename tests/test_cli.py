@@ -158,6 +158,23 @@ class TestInspection:
                      str(finished_store)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["describe", "export"])
+    def test_malformed_journal_fails_cleanly(self, finished_store, capsys,
+                                             command):
+        events = finished_store / "cli-job" / "events.log"
+        lines = events.read_text(encoding="utf-8").splitlines(keepends=True)
+        index = next(i for i, line in enumerate(lines)
+                     if json.loads(line)["type"] == "trial_completed")
+        event = json.loads(lines[index])
+        del event["final_value"]
+        lines[index] = json.dumps(event) + "\n"
+        events.write_text("".join(lines), encoding="utf-8")
+        assert main([command, "cli-job", "--store",
+                     str(finished_store)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"journal event {index + 1} " in err
+
     def test_stop_on_completed_is_noop(self, finished_store, capsys):
         assert main(["stop", "cli-job", "--store",
                      str(finished_store)]) == 0

@@ -96,7 +96,7 @@ class TestSliceSampler:
         # a flat improper density can never be bracketed
         with pytest.raises(StepOutFailure):
             slice_sample(lambda x: 0.0, np.zeros(1), 1,
-                         np.random.default_rng(0), max_step_out=50)
+                         np.random.default_rng(0))
 
 
 class TestMcmcConfig:

@@ -268,6 +268,20 @@ class TestReplay:
             replay_events(make_config(), [
                 {"type": "alien", "trial_id": "trial-0001"}])
 
+    @pytest.mark.parametrize("bad", [
+        {"type": "trial_completed", "trial_id": "trial-0001", "ts": 2.0},
+        {"type": "trial_stopped", "trial_id": "trial-0001",
+         "final_value": "fast"},
+        {"type": "metric_reported", "trial_id": "trial-0001", "value": 1.0},
+        {"type": "metric_reported", "trial_id": "trial-0001",
+         "iteration": None, "value": 1.0},
+        {"type": "trial_launched", "trial_id": "trial-0002"},
+        ["trial_completed", "trial-0001"],
+    ])
+    def test_malformed_event_names_its_index(self, bad):
+        with pytest.raises(CorruptStoreError, match="journal event 2 "):
+            replay_events(make_config(), [launched("trial-0001"), bad])
+
     def test_replay_equals_journal_roundtrip(self, store):
         # reading the journal back through the store must reproduce the
         # state that direct replay yields
@@ -311,6 +325,14 @@ class TestLoadJob:
         store.set_status("job-a", "stopping")
         _, _, state = store.load_job("job-a")
         assert state.status == "stopping"
+
+    def test_completion_without_final_value(self, store):
+        store.create_job(make_config(), EXECUTOR)
+        store.append_event("job-a", launched("trial-0001"))
+        store.append_event("job-a", {"type": "trial_completed",
+                                     "trial_id": "trial-0001", "ts": 2.0})
+        with pytest.raises(CorruptStoreError, match="journal event 2 "):
+            store.load_job("job-a")
 
     def test_corrupt_job_json(self, store):
         store.create_job(make_config(), EXECUTOR)
