@@ -15,7 +15,6 @@ from typing import Literal
 
 import numpy as np
 
-from .inference import McmcConfig
 from .runner import ExecutorSpec, ExecutorSpecError, validate_executor_spec
 from .space import (
     Configuration,
@@ -49,6 +48,8 @@ EarlyStopping = Literal["off", "median"]
 
 TERMINAL_STATUSES = frozenset({"completed", "failed", "early_stopped"})
 
+_LEGACY_MCMC = {"chain_length": 300, "burn_in": 250, "thinning": 5}
+
 
 class JobConfigError(ValueError):
     """Job configuration fails parsing or validation."""
@@ -72,7 +73,6 @@ class TuningJobConfig:
     max_parallel: int = 1
     early_stopping: EarlyStopping = "off"
     warm_start_parents: tuple[str, ...] = ()
-    mcmc: McmcConfig = field(default_factory=McmcConfig)
     seed: int = 0
     retry_limit: int = 2
 
@@ -105,10 +105,6 @@ def validate_job_config(config: TuningJobConfig) -> TuningJobConfig:
     for parent in config.warm_start_parents:
         if not JOB_ID_RE.match(parent):
             raise JobConfigError(f"invalid parent job id {parent!r}")
-    try:
-        config.mcmc.validate()
-    except ValueError as exc:
-        raise JobConfigError(f"invalid mcmc settings: {exc}") from exc
     return config
 
 
@@ -281,9 +277,6 @@ def job_config_to_dict(config: TuningJobConfig, executor: ExecutorSpec,
         "max_parallel": config.max_parallel,
         "early_stopping": config.early_stopping,
         "warm_start_parents": list(config.warm_start_parents),
-        "mcmc": {"chain_length": config.mcmc.chain_length,
-                 "burn_in": config.mcmc.burn_in,
-                 "thinning": config.mcmc.thinning},
         "seed": config.seed,
         "retry_limit": config.retry_limit,
         "executor": _executor_to_record(executor),
@@ -316,13 +309,12 @@ def job_config_from_dict(data: dict) -> tuple[TuningJobConfig,
         raise JobConfigError(
             f"inference mode {inference!r} was removed: hyperparameters are "
             "always slice-sampled; drop the key or set it to 'mcmc'")
-    mcmc_record = data.get("mcmc", {})
+    # Older stores also carry the fixed slice-sampling schedule.
+    if data.get("mcmc", _LEGACY_MCMC) != _LEGACY_MCMC:
+        raise JobConfigError(
+            f"mcmc settings {data['mcmc']!r} were removed: the slice-"
+            "sampling schedule is fixed; drop the key")
     try:
-        mcmc = McmcConfig(
-            chain_length=int(mcmc_record.get("chain_length", 300)),
-            burn_in=int(mcmc_record.get("burn_in", 250)),
-            thinning=int(mcmc_record.get("thinning", 5)),
-        )
         config = TuningJobConfig(
             job_id=str(data["job_id"]),
             space=SearchSpace([_dimension_from_record(r) for r in space_records]),
@@ -334,7 +326,6 @@ def job_config_from_dict(data: dict) -> tuple[TuningJobConfig,
             early_stopping=data.get("early_stopping", "off"),
             warm_start_parents=tuple(str(p) for p in
                                      data.get("warm_start_parents", ())),
-            mcmc=mcmc,
             seed=int(data.get("seed", 0)),
             retry_limit=int(data.get("retry_limit", 2)),
         )

@@ -144,9 +144,12 @@ class JobStore:
         if not path.is_file():
             raise NotFoundError(f"job {job_id!r} not found under {self.root}")
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
+            payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise CorruptStoreError(f"cannot read job.json for {job_id!r}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise CorruptStoreError(f"job.json for {job_id!r} is not an object")
+        return payload
 
     def set_status(self, job_id: str, status: str) -> None:
         payload = self.read_job_file(job_id)
@@ -257,12 +260,11 @@ class JobStore:
         if not self.root.is_dir():
             return out
         for entry in sorted(self.root.iterdir()):
-            if not entry.is_dir() or not (entry / "job.json").is_file():
+            if not self.job_exists(entry.name):
                 continue
             try:
-                payload = json.loads((entry / "job.json").read_text(encoding="utf-8"))
-                out.append((entry.name, str(payload.get("status", "created"))))
-            except (OSError, json.JSONDecodeError):
+                out.append((entry.name, self.read_status(entry.name)))
+            except StoreError:
                 out.append((entry.name, "unreadable"))
         return out
 

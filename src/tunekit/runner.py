@@ -295,15 +295,16 @@ class ExternalExecutor(_PooledExecutor):
              emit: EmitFn, stop: threading.Event) -> None:
         del seed  # children derive their own randomness from hparams
         trial_dir = self._base_dir / trial_id
-        trial_dir.mkdir(parents=True, exist_ok=True)
         hparams_path = trial_dir / HPARAMS_FILENAME
-        # json round-trips Python floats exactly (shortest-repr encoding),
-        # so the child sees bit-identical numbers.
-        hparams_path.write_text(json.dumps(dict(config.values), indent=2) + "\n")
         env = dict(os.environ)
         env[ENV_TRIAL_ID] = trial_id
         env[ENV_HPARAMS_FILE] = str(hparams_path)
         try:
+            trial_dir.mkdir(parents=True, exist_ok=True)
+            # json round-trips Python floats exactly (shortest-repr
+            # encoding), so the child sees bit-identical numbers.
+            hparams_path.write_text(
+                json.dumps(dict(config.values), indent=2) + "\n")
             proc = subprocess.Popen(
                 self._command_for(trial_dir, trial_id),
                 cwd=trial_dir, env=env, text=True, start_new_session=True,

@@ -2,12 +2,18 @@
 
 One coordinator (the thread calling :func:`run_job`) owns all mutable job
 state.  Trials execute concurrently through an executor and talk back
-only via an ordered event queue.  Whenever a slot frees, the coordinator
-refits the surrogate on everything observed so far and proposes the next
-candidate, so slots never wait for each other.  Handlers only decide what
-happens: each transition is journaled first and then applied through
-:func:`~tunekit.jobstore.apply_event`, the transition function replay
-uses, so a crash at any event boundary is recoverable by replay.
+only via an ordered event queue.  The loop fills the free slots, then,
+while any trial runs, handles one event and fills again; the job is done
+when a fill leaves nothing running.  Filling relaunches pending retries
+first, and only then proposes new trials: the surrogate is refit on
+everything observed so far, so slots never wait for each other.  A new
+trial is refused once the budget is spent or a stop was requested; the
+stop request (``stopping`` in job.json) is read only at that decision,
+once per proposed launch, and in-flight trials run to their end.
+Handlers only decide what happens: each transition is journaled first
+and then applied through :func:`~tunekit.jobstore.apply_event`, the
+transition function replay uses, so a crash at any event boundary is
+recoverable by replay.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from collections.abc import Iterable
 
 from .acquisition import AcquisitionContext, propose
-from .inference import slice_sample_thetas
+from .inference import McmcConfig, slice_sample_thetas
 from .jobs import (
     JobConfigError,
     TrialRecord,
@@ -60,6 +66,9 @@ __all__ = [
 _SEED_INIT_DESIGN = 101
 _SEED_CANDIDATE = 202
 _SEED_EXECUTOR = 303
+
+# The slice-sampling schedule every proposal uses.
+_MCMC = McmcConfig()
 
 
 class JobAborted(RuntimeError):
@@ -115,7 +124,7 @@ def next_candidate(state: TuningJobState, config: TuningJobConfig,
 
     inference_seed = _derive_seed(seed, 1)
     propose_seed = _derive_seed(seed, 2)
-    thetas = slice_sample_thetas(design, y, config.mcmc, inference_seed)
+    thetas = slice_sample_thetas(design, y, _MCMC, inference_seed)
     posteriors = []
     for theta in thetas:
         try:
@@ -197,11 +206,11 @@ def merge_warm_start(parents: Iterable[tuple[TuningJobConfig, Iterable[TrialReco
 
 class _Coordinator:
     def __init__(self, config: TuningJobConfig, store: JobStore,
-                 executor: Executor) -> None:
+                 executor: Executor, state: TuningJobState) -> None:
         self.config = config
         self.store = store
         self.executor = executor
-        self.state = TuningJobState()
+        self.state = state
         self.events: queue.Queue[TrialEvent] = queue.Queue()
         self.stop_requested = False
 
@@ -250,6 +259,11 @@ class _Coordinator:
                              self.events.put)
 
     def _fill_slots(self) -> None:
+        """Launch retries, then new trials, while a slot is free.
+
+        job.json is read for a stop request only when the budget would
+        allow a new trial.
+        """
         config, state = self.config, self.state
         while len(state.running_ids) < config.max_parallel:
             retries = sorted(state.retry_ids)
@@ -259,111 +273,92 @@ class _Coordinator:
                 trial = state.trials[retries[0]]
                 self._launch(trial.trial_id, trial.config, trial.encoded,
                              trial.attempts + 1, _trial_index(trial.trial_id))
-            elif (not self.stop_requested
-                  and len(state.trials) < config.max_trials):
-                index = len(state.trials)
-                candidate = next_candidate(
-                    state, config,
-                    _derive_seed(config.seed, _SEED_CANDIDATE, index))
-                self._launch(f"trial-{index + 1:04d}", candidate,
-                             encode(candidate, config.space), 1, index)
-            else:
-                break
+                continue
+            if len(state.trials) >= config.max_trials:
+                return
+            if not self.stop_requested:
+                try:
+                    self.stop_requested = (
+                        self.store.read_status(config.job_id) == "stopping")
+                except (StoreError, OSError):
+                    pass
+            if self.stop_requested:
+                return
+            index = len(state.trials)
+            candidate = next_candidate(
+                state, config, _derive_seed(config.seed, _SEED_CANDIDATE, index))
+            self._launch(f"trial-{index + 1:04d}", candidate,
+                         encode(candidate, config.space), 1, index)
 
     # -- event handling ----------------------------------------------------
 
-    def _handle_metric(self, event: TrialEvent) -> None:
+    def _handle_metric(self, trial: TrialRecord, event: TrialEvent) -> None:
         config = self.config
         if event.metric != config.objective.name:
             return
-        trial = self.state.trials.get(event.trial_id)
-        if trial is None or trial.status != "running":
-            return
-        last = trial.curve.final_iteration
-        if last is not None and event.iteration <= last:
+        # Iterations start at 1 and must advance; anything else is dropped
+        # before it reaches the journal.
+        if event.iteration <= (trial.curve.final_iteration or 0):
             return
         self._record({
-            "type": "metric_reported", "trial_id": event.trial_id,
+            "type": "metric_reported", "trial_id": trial.trial_id,
             "iteration": int(event.iteration), "value": float(event.value),
         })
         if not _median_stops(self.state, config, trial, event.iteration):
             return
         self._record({
-            "type": "trial_stopped", "trial_id": event.trial_id,
+            "type": "trial_stopped", "trial_id": trial.trial_id,
             "final_value": float(trial.curve.best_value(config.objective.goal)),
         })
-        self.executor.request_stop(event.trial_id)
+        self.executor.request_stop(trial.trial_id)
 
-    def _handle_completed(self, event: TrialEvent) -> None:
-        trial = self.state.trials.get(event.trial_id)
-        if trial is None or trial.status != "running":
-            return
+    def _handle_completed(self, trial: TrialRecord) -> None:
         if trial.curve.final_value is None:
-            self._handle_failed(TrialEvent(
-                "failed", event.trial_id, reason="protocol_violation"))
+            self._handle_failed(trial, "protocol_violation")
             return
         self._record({
-            "type": "trial_completed", "trial_id": event.trial_id,
+            "type": "trial_completed", "trial_id": trial.trial_id,
             "final_value": float(trial.curve.final_value),
         })
 
-    def _handle_failed(self, event: TrialEvent) -> None:
-        trial = self.state.trials.get(event.trial_id)
-        if trial is None or trial.status != "running":
-            return
+    def _handle_failed(self, trial: TrialRecord, reason: str) -> None:
         self._record({
-            "type": "trial_failed", "trial_id": event.trial_id,
-            "reason": event.reason or "unknown",
+            "type": "trial_failed", "trial_id": trial.trial_id,
+            "reason": reason,
             "terminal": trial.attempts > self.config.retry_limit,
         })
 
     def _handle(self, event: TrialEvent) -> None:
+        # Only running trials change; reports from an attempt already
+        # stopped, failed or completed are dropped.
+        trial = self.state.trials.get(event.trial_id)
+        if trial is None or trial.status != "running":
+            return
         if event.kind == "metric":
-            self._handle_metric(event)
+            self._handle_metric(trial, event)
         elif event.kind == "completed":
-            self._handle_completed(event)
+            self._handle_completed(trial)
         elif event.kind == "failed":
-            self._handle_failed(event)
+            self._handle_failed(trial, event.reason or "unknown")
 
     # -- main loop ---------------------------------------------------------
 
-    def _poll_stop_request(self) -> None:
-        if self.stop_requested:
-            return
-        try:
-            status = self.store.read_status(self.config.job_id)
-        except (StoreError, OSError):
-            return
-        if status == "stopping":
-            self.stop_requested = True
-
-    def _done(self) -> bool:
-        if self.state.running_ids or self.state.retry_ids:
-            return False
-        if self.stop_requested:
-            return True
-        return (len(self.state.trials) >= self.config.max_trials
-                and self.state.terminal_count == len(self.state.trials))
-
-    def run(self, resumed_state: TuningJobState | None) -> TuningJobState:
-        if resumed_state is not None:
-            self.state = resumed_state
+    def run(self) -> TuningJobState:
         self.stop_requested = self.state.status == "stopping"
         if self.state.status == "completed":
             return self.state
         # A crash leaves the attempts it interrupted running in the journal.
         for trial_id in self.state.running_ids:
-            self._handle_failed(TrialEvent("failed", trial_id,
-                                           reason="interrupted"))
+            self._handle_failed(self.state.trials[trial_id], "interrupted")
         if self.state.status != "stopping":
             self._set_job_status("running")
-        while True:
-            self._poll_stop_request()
+        # Retries launch first and a new trial is refused only when the
+        # budget is spent or a stop was requested, so a fill that leaves
+        # nothing running leaves nothing to do.
+        self._fill_slots()
+        while self.state.running_ids:
+            self._handle(self.events.get())
             self._fill_slots()
-            if self._done():
-                break
-            event = self.events.get()
-            self._handle(event)
         self._set_job_status("completed")
         return self.state
 
@@ -387,9 +382,9 @@ def run_job(config: TuningJobConfig, store: JobStore,
         If the configuration is invalid.
     """
     validate_job_config(config)
-    resumed: TuningJobState | None = None
+    state = TuningJobState()
     if store.job_exists(config.job_id):
-        stored_config, _, resumed = store.load_job(config.job_id)
+        stored_config, _, state = store.load_job(config.job_id)
         if stored_config != config:
             logger.info("job %s: resuming with the stored configuration",
                         config.job_id)
@@ -410,9 +405,6 @@ def run_job(config: TuningJobConfig, store: JobStore,
                 f"warm-start parent {parent_id!r} not found") from exc
         parents.append((parent_config, list(parent_state.trials.values())))
 
-    coordinator = _Coordinator(config, store, executor)
-    if parents:
-        warm = merge_warm_start(parents, config.space)
-        state = resumed if resumed is not None else coordinator.state
-        state.warm_obs = warm
-    return coordinator.run(resumed)
+    coordinator = _Coordinator(config, store, executor, state)
+    coordinator.state.warm_obs = merge_warm_start(parents, config.space)
+    return coordinator.run()

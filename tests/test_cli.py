@@ -198,6 +198,17 @@ class TestInspection:
                      str(tmp_path / "store")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_stop_on_non_object_job_file_fails(self, tmp_path, capsys):
+        store = JobStore(tmp_path / "store")
+        store.create_job(make_config(), EXECUTOR)
+        store.close()
+        job_json = tmp_path / "store" / "cli-job" / "job.json"
+        job_json.write_text("[]", encoding="utf-8")
+        assert main(["stop", "cli-job", "--store",
+                     str(tmp_path / "store")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert job_json.read_text(encoding="utf-8") == "[]"
+
 
 class TestExport:
     def test_export_round_trips_floats(self, tmp_path, capsys):

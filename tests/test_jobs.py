@@ -4,7 +4,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tunekit.inference import McmcConfig
 from tunekit.jobs import (
     JobConfigError,
     ObjectiveSpec,
@@ -81,10 +80,6 @@ class TestValidation:
     def test_bad_parent_id(self):
         with pytest.raises(JobConfigError):
             validate_job_config(make_config(warm_start_parents=("BAD_ID",)))
-
-    def test_bad_mcmc_wrapped(self):
-        with pytest.raises(JobConfigError):
-            validate_job_config(make_config(mcmc=McmcConfig(10, 10, 1)))
 
 
 def test_minimize_form():
@@ -184,18 +179,32 @@ class TestJsonSchema:
     def test_round_trip(self):
         config = make_config(
             warm_start_parents=("parent-a",), seed=99, retry_limit=1,
-            early_stopping="median", mcmc=McmcConfig(100, 50, 2),
+            early_stopping="median",
         )
         payload = job_config_to_dict(config, EXECUTOR, status="running")
-        assert "inference" not in payload
+        assert "inference" not in payload and "mcmc" not in payload
         back, executor, status = job_config_from_dict(payload)
         assert back == config
         assert executor == EXECUTOR
         assert status == "running"
         # Stores written while inference was a setting say "mcmc".
         payload["inference"] = "mcmc"
+        # They also carry the one sampling schedule there ever was in use.
+        payload["mcmc"] = {"chain_length": 300, "burn_in": 250, "thinning": 5}
         back, _, _ = job_config_from_dict(payload)
         assert back == config
+
+    @pytest.mark.parametrize("mcmc", [
+        {"chain_length": 100, "burn_in": 50, "thinning": 2},
+        {"chain_length": 300},
+        {},
+        "default",
+    ])
+    def test_mcmc_settings_refused(self, mcmc):
+        payload = job_config_to_dict(make_config(), EXECUTOR)
+        payload["mcmc"] = mcmc
+        with pytest.raises(JobConfigError, match="were removed"):
+            job_config_from_dict(payload)
 
     def test_external_executor_round_trip(self):
         spec = ExecutorSpec(kind="external", command=("python", "train.py",
@@ -215,7 +224,7 @@ class TestJsonSchema:
         config, executor, status = job_config_from_dict(minimal)
         assert config.strategy == "bayesian"
         assert config.max_parallel == 1
-        assert config.mcmc == McmcConfig()
+        assert config.seed == 0 and config.retry_limit == 2
         assert config.objective.goal == "minimize"
         assert status == "created"
         assert executor is None

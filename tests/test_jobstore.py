@@ -149,8 +149,9 @@ class TestLifecycle:
 
     def test_list_jobs_flags_unreadable(self, store):
         store.create_job(make_config(), EXECUTOR)
-        (store.job_dir("job-a") / "job.json").write_text("{broken")
-        assert store.list_jobs() == [("job-a", "unreadable")]
+        for text in ("{broken", "[]"):
+            (store.job_dir("job-a") / "job.json").write_text(text)
+            assert store.list_jobs() == [("job-a", "unreadable")]
 
 
 class TestJournal:

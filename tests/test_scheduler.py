@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -164,6 +165,44 @@ class FaultyStore(JobStore):
             raise StoreError("injected journal fault")
         self.remaining -= 1
         super().append_event(job_id, event)
+
+
+class StatusCountingStore(JobStore):
+    """Counts the coordinator's reads of the job status."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.status_reads = 0
+
+    def read_status(self, job_id) -> str:
+        self.status_reads += 1
+        return super().read_status(job_id)
+
+
+class StopOnFirstLaunch:
+    """Asks for a stop, as ``tunekit stop`` does, inside the first launch."""
+
+    def __init__(self, inner, control: JobStore, job_id: str):
+        self.inner = inner
+        self.control = control
+        self.job_id = job_id
+        self.launched: list[str] = []
+
+    @property
+    def spec(self) -> ExecutorSpec:
+        return self.inner.spec
+
+    def launch(self, trial_id, config, seed, emit) -> None:
+        if not self.launched:
+            self.control.set_status(self.job_id, "stopping")
+        self.launched.append(trial_id)
+        self.inner.launch(trial_id, config, seed, emit)
+
+    def request_stop(self, trial_id) -> None:
+        self.inner.request_stop(trial_id)
+
+    def shutdown(self) -> None:
+        self.inner.shutdown()
 
 
 # --- seeds, indices, and the initial design --------------------------------
@@ -589,6 +628,41 @@ class TestRunJob:
         control.close()
         store.close()
 
+    def test_stop_request_read_once_per_new_trial(self, tmp_path):
+        curve = get_benchmark("curve-sim")
+        spec = ExecutorSpec(kind="builtin", benchmark="curve-sim",
+                            iterations=20)
+        config = make_config(space=curve.space, max_trials=12, max_parallel=2,
+                             early_stopping="median", seed=23)
+        store = StatusCountingStore(tmp_path / "s")
+        executor = make_executor(spec, "loss", 2)
+        try:
+            state = run_job(config, store, executor)
+        finally:
+            executor.shutdown()
+            store.close()
+        assert state.terminal_count == 12
+        assert store.status_reads <= len(state.trials) + 1
+
+    def test_stop_inside_first_launch_fills_no_second_slot(self, tmp_path):
+        spec = ExecutorSpec(kind="builtin", benchmark="branin",
+                            iterations=3, delay=0.02)
+        config = make_config(max_trials=10, max_parallel=2, seed=4)
+        store = JobStore(tmp_path / "s")
+        control = JobStore(tmp_path / "s")
+        executor = StopOnFirstLaunch(make_executor(spec, "loss", 2),
+                                     control, config.job_id)
+        try:
+            state = run_job(config, store, executor)
+        finally:
+            executor.shutdown()
+            store.close()
+        assert executor.launched == ["trial-0001"]
+        assert list(state.trials) == ["trial-0001"]
+        assert state.trials["trial-0001"].status == "completed"
+        assert control.read_status(config.job_id) == "completed"
+        control.close()
+
     def test_crash_recovery_resumes_to_full_budget(self, tmp_path):
         config = make_config(max_trials=6, max_parallel=2, seed=8)
         faulty = FaultyStore(tmp_path / "s", fail_after=9)
@@ -692,6 +766,56 @@ class TestRunJob:
         # trial is already model-based rather than a space-filling point.
         first = state.trials["trial-0001"]
         assert dict(first.config) != _design_point(child, 0).values
+
+
+# --- external trials through the whole loop --------------------------------
+
+CHILD_REPORTS_FROM_ZERO = """\
+print("tuner-metric name=loss iteration=0 value=9.0", flush=True)
+print("tuner-metric name=loss iteration=1 value=0.25", flush=True)
+"""
+
+
+class TestExternalJobs:
+    def test_metric_at_iteration_zero_is_ignored(self, tmp_path):
+        script = tmp_path / "child.py"
+        script.write_text(CHILD_REPORTS_FROM_ZERO)
+        spec = ExecutorSpec(kind="external", command=(sys.executable,
+                                                      str(script)),
+                            workdir=str(tmp_path / "trials"))
+        config = make_config(max_trials=1)
+        state = run_to_completion(tmp_path / "s", config, spec=spec)
+        trial = state.trials["trial-0001"]
+        assert trial.status == "completed" and trial.final_value == 0.25
+        assert trial.curve.points == [(1, 0.25)]
+        store = JobStore(tmp_path / "s")
+        _, _, replayed = store.load_job(config.job_id)
+        store.close()
+        assert replayed.trials["trial-0001"].curve.points == [(1, 0.25)]
+        assert replayed.trials["trial-0001"].final_value == 0.25
+
+    def test_unusable_trial_directory_fails_trials(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        spec = ExecutorSpec(kind="external", command=(sys.executable, "-c", ""),
+                            workdir=str(blocker / "sub"))
+        config = make_config(max_trials=2)
+        result: dict = {}
+
+        def target():
+            result["state"] = run_to_completion(tmp_path / "s", config,
+                                                spec=spec)
+
+        # A lost terminal event would block run_job forever.
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        state = result["state"]
+        assert len(state.trials) == 2
+        for trial in state.trials.values():
+            assert trial.status == "failed"
+            assert trial.failure_reason == "spawn_failure"
 
 
 # --- resuming a crashed job ------------------------------------------------
