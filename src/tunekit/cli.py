@@ -4,7 +4,8 @@ The run command takes a JSON config file in exactly the job.json schema
 (see jobstore), so a stored job can be re-submitted verbatim.  Exit codes:
 0 success, 1 job or store failure, 2 config error, 130 on interrupt.
 An interrupted or crashed run resumes from its journal when re-invoked
-with the same job id.
+with the same job id.  Log records at ``--log-level`` (default WARNING)
+and above go to stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import os
 import sys
 from dataclasses import replace
@@ -179,6 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Local hyperparameter tuning jobs: Bayesian or random "
                     "search over external commands or builtin benchmarks.",
     )
+    parser.add_argument("--log-level", default="WARNING",
+                        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+                        help="lowest level of log record printed to stderr "
+                             "(default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_store(p: argparse.ArgumentParser) -> None:
@@ -219,6 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level,
+                        format="%(levelname)s %(name)s: %(message)s")
     return args.func(args)
 
 

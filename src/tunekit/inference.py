@@ -3,7 +3,9 @@
 ``slice_sample_thetas`` draws an ensemble of hyperparameter settings from
 the posterior over the log parameterisation using univariate slice
 sampling along random directions; predictions then average over the
-ensemble.
+ensemble.  A chain starts from the default hyperparameters or from a
+given log vector, so a caller can continue an earlier chain on new data
+with a short burn-in instead of starting over.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from .surrogate import CholeskyFailure, GpHyperParams, lml_function
 
 __all__ = [
+    "StartPointError",
     "StepOutFailure",
     "McmcConfig",
     "slice_sample",
@@ -34,6 +37,10 @@ _MAX_SHRINK = 200
 # noise variance is log-uniform over its box.
 _PRIOR_SD_SCALE = 1.0
 _PRIOR_SD_WARP = 0.75
+
+
+class StartPointError(ValueError):
+    """The chain's starting point has no finite posterior density."""
 
 
 class StepOutFailure(RuntimeError):
@@ -88,6 +95,8 @@ def slice_sample(log_density, x0: np.ndarray, count: int,
 
     Raises
     ------
+    StartPointError
+        If ``x0`` has non-finite log density.
     StepOutFailure
         If a slice cannot be bracketed within 1000 expansions.
     """
@@ -95,7 +104,8 @@ def slice_sample(log_density, x0: np.ndarray, count: int,
     k = x.shape[0]
     logp = float(log_density(x))
     if not math.isfinite(logp):
-        raise ValueError("slice sampling requires a starting point with finite density")
+        raise StartPointError(
+            "slice sampling requires a starting point with finite density")
     out = np.empty((count, k))
     for step in range(count):
         direction = rng.standard_normal(k)
@@ -175,17 +185,24 @@ def _posterior_log_density(design: np.ndarray, y: np.ndarray, width: int):
 
 def slice_sample_thetas(design: np.ndarray, y: np.ndarray, config: McmcConfig,
                         seed: int | np.random.SeedSequence, *,
-                        sample_warp: bool = True) -> list[GpHyperParams]:
+                        sample_warp: bool = True,
+                        start: np.ndarray | None = None) -> list[GpHyperParams]:
     """Posterior ensemble of hyperparameters via slice sampling.
 
-    Runs one chain of ``config.chain_length`` steps from the default
-    hyperparameters, discards ``config.burn_in``, and keeps every
-    ``config.thinning``-th remaining state.  With ``sample_warp=False``
-    the warp coordinates stay pinned at the identity and only
-    lengthscales, amplitude, and noise are sampled.
+    Runs one chain of ``config.chain_length`` steps from ``start`` (a log
+    vector, as ``GpHyperParams.to_log_vector`` returns) or, without one,
+    from the default hyperparameters; discards ``config.burn_in`` and
+    keeps every ``config.thinning``-th remaining state.  With
+    ``sample_warp=False`` the warp coordinates stay pinned at the identity
+    and only lengthscales, amplitude, and noise are sampled.
 
     Returns a list of ``config.effective_samples`` settings, all inside
-    the hyperparameter box.  Deterministic for a fixed seed.
+    the hyperparameter box.  Deterministic for a fixed seed and start.
+
+    Raises
+    ------
+    StartPointError
+        If ``start`` has non-finite posterior density on this data.
     """
     config.validate()
     design = np.atleast_2d(np.asarray(design, dtype=float))
@@ -193,12 +210,16 @@ def slice_sample_thetas(design: np.ndarray, y: np.ndarray, config: McmcConfig,
     rng = np.random.default_rng(seed)
     target = _posterior_log_density(design, y, width)
     x0 = GpHyperParams.default(width).to_log_vector()
+    free = np.arange(x0.shape[0] if sample_warp else width + 2)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != x0.shape:
+            raise ValueError(f"start must have shape {x0.shape}, got {start.shape}")
+        x0[free] = start[free]
 
     if sample_warp:
         chain = slice_sample(target, x0, config.chain_length, rng)
     else:
-        free = np.arange(width + 2)
-
         def embedded(u: np.ndarray) -> float:
             full = x0.copy()
             full[free] = u

@@ -144,12 +144,15 @@ class TuningJobState:
 
     ``warm_obs`` holds (encoded, raw final value) pairs merged from
     warm-start parents; they feed the surrogate but are not trials and
-    never count toward the budget.
+    never count toward the budget.  ``chain_log_theta`` is the
+    hyperparameter log vector the last model-phase launch journaled, where
+    the next model proposal's chain starts; None before the first one.
     """
 
     trials: dict[str, TrialRecord] = field(default_factory=dict)
     status: str = "created"
     warm_obs: list[tuple[np.ndarray, float]] = field(default_factory=list)
+    chain_log_theta: np.ndarray | None = None
 
     @property
     def running_ids(self) -> list[str]:

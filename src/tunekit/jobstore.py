@@ -9,10 +9,12 @@ Layout per job under the store root::
 The event journal is the source of truth.  :func:`apply_event` is the
 only code that changes job state in response to an event: the coordinator
 applies each event it journals through it, and :func:`replay_events`
-folds a whole journal with it, so live and replayed state agree.
-job.json contributes only the configuration and a requested ``stopping``.
-Files other than the journal are written to a uniquely named temp file
-and renamed, so readers never observe them half-written.  A torn final
+folds a whole journal with it, so live and replayed state agree.  That
+includes the hyperparameter chain: a model-phase ``trial_launched`` carries
+``"proposal": {"log_theta": [...]}``, where the next model proposal's chain
+starts.  job.json contributes only the configuration and a requested
+``stopping``.  Files other than the journal are written to a uniquely
+named temp file and renamed, so readers never observe them half-written.  A torn final
 line in events.log (a crash mid-append) is skipped with a warning;
 corruption anywhere else is an error.
 """
@@ -290,6 +292,16 @@ class JobStore:
         }
 
 
+def _chain_log_theta(config: TuningJobConfig, proposal: dict) -> np.ndarray:
+    """The hyperparameter log vector a model launch journaled."""
+    log_theta = np.array(proposal["log_theta"], dtype=float)
+    # The layout is [lengthscales, amplitude, noise, warp_a, warp_b].
+    size = 3 * config.space.encoded_width + 2
+    if log_theta.shape != (size,) or not np.isfinite(log_theta).all():
+        raise ValueError(f"proposal log_theta must hold {size} finite floats")
+    return log_theta
+
+
 def apply_event(config: TuningJobConfig, state: TuningJobState,
                 event: dict) -> None:
     """Apply one journal entry to ``state``; raises on malformed entries."""
@@ -305,6 +317,8 @@ def apply_event(config: TuningJobConfig, state: TuningJobState,
         cfg = Configuration(dict(event["config"]))
         encoded = (np.array(event["encoded"], dtype=float)
                    if "encoded" in event else encode(cfg, config.space))
+        if "proposal" in event:
+            state.chain_log_theta = _chain_log_theta(config, event["proposal"])
         if seen is None:
             state.trials[trial_id] = TrialRecord(
                 trial_id=trial_id, config=cfg, encoded=encoded,

@@ -24,6 +24,7 @@ import logging
 import math
 import os
 import re
+import shutil
 import signal
 import subprocess
 import tempfile
@@ -268,15 +269,26 @@ def _kill_group(proc: subprocess.Popen) -> None:
 
 
 class ExternalExecutor(_PooledExecutor):
-    """Runs each trial as a subprocess under the stdout metric protocol."""
+    """Runs each trial as a subprocess under the stdout metric protocol.
+
+    Trial directories go under ``spec.workdir``, or without one under a
+    fresh ``tunekit-trials-*`` temp directory that ``shutdown`` removes.
+    """
 
     kind = "external"
 
     def __init__(self, spec: ExecutorSpec, objective_metric: str,
                  max_workers: int) -> None:
         super().__init__(spec, objective_metric, max_workers)
+        self._own_dir = not spec.workdir
         self._base_dir = Path(spec.workdir) if spec.workdir else Path(
             tempfile.mkdtemp(prefix="tunekit-trials-"))
+
+    def shutdown(self) -> None:
+        """Drain the pool, then remove the trial directory if this made it."""
+        super().shutdown()
+        if self._own_dir:
+            shutil.rmtree(self._base_dir, ignore_errors=True)
 
     def _command_for(self, trial_dir: Path, trial_id: str) -> list[str]:
         substitutions = {

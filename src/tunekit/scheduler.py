@@ -14,6 +14,15 @@ Handlers only decide what happens: each transition is journaled first
 and then applied through :func:`~tunekit.jobstore.apply_event`, the
 transition function replay uses, so a crash at any event boundary is
 recoverable by replay.
+
+Model proposals continue one slice-sampling chain over the GP
+hyperparameters.  A job's first model proposal, and any whose state holds
+no chain, runs the full schedule (300 steps, 250 burn-in, thinning 5)
+from the default hyperparameters.  Every later one starts from the log
+vector the previous model launch journaled as ``proposal.log_theta`` and
+runs 66 steps with burn-in 20 and thinning 5, still keeping 10 members.
+The chain state thus lives in the journal, so a resumed job proposes what
+an uninterrupted one would.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import numpy as np
 from collections.abc import Iterable
 
 from .acquisition import AcquisitionContext, propose
-from .inference import McmcConfig, slice_sample_thetas
+from .inference import McmcConfig, StartPointError, slice_sample_thetas
 from .jobs import (
     JobConfigError,
     TrialRecord,
@@ -47,7 +56,7 @@ from .space import (
 )
 from .sobol import scrambled_sobol_points
 from .stopping import median_rule
-from .surrogate import CholeskyFailure, fit_posterior
+from .surrogate import CholeskyFailure, GpHyperParams, fit_posterior
 
 logger = logging.getLogger(__name__)
 
@@ -67,8 +76,11 @@ _SEED_INIT_DESIGN = 101
 _SEED_CANDIDATE = 202
 _SEED_EXECUTOR = 303
 
-# The slice-sampling schedule every proposal uses.
-_MCMC = McmcConfig()
+# Slice-sampling schedules: a cold chain starts from the default
+# hyperparameters, a warm one continues the journaled chain.  The warm
+# schedule keeps 10 members, and its last is the chain's final step.
+_MCMC_COLD = McmcConfig()
+_MCMC_WARM = McmcConfig(66, 20, 5)
 
 
 class JobAborted(RuntimeError):
@@ -103,28 +115,47 @@ def _design_point(config: TuningJobConfig, index: int) -> Configuration:
     return decode(points[index], config.space)
 
 
+def _sample_thetas(design: np.ndarray, y: np.ndarray,
+                   start: np.ndarray | None, seed: int) -> list[GpHyperParams]:
+    """Continue the chain from ``start``, or run a cold chain without one."""
+    if start is not None:
+        try:
+            return slice_sample_thetas(design, y, _MCMC_WARM, seed,
+                                       start=start)
+        except StartPointError:
+            logger.warning("stored hyperparameter chain state has no finite "
+                           "density on %d observations; starting a cold chain",
+                           y.shape[0])
+    return slice_sample_thetas(design, y, _MCMC_COLD, seed)
+
+
 def next_candidate(state: TuningJobState, config: TuningJobConfig,
-                   seed: int) -> Configuration:
+                   seed: int) -> tuple[Configuration, np.ndarray | None]:
     """Pick the configuration for the next trial launch.
 
     Random strategy always samples uniformly.  The Bayesian strategy
     walks a scrambled-Sobol initial design until enough observations and
-    in-flight trials exist, then refits the hyperparameters on all
-    observations (warm-start ones included) and maximises the ensemble
-    acquisition, excluding pending points.
+    in-flight trials exist, then slice-samples the hyperparameters on all
+    observations (warm-start ones included), continuing the chain in
+    ``state.chain_log_theta`` when there is one, and maximises the
+    ensemble acquisition, excluding pending points.
+
+    Returns the configuration and, for a model proposal, the log vector
+    of the last ensemble member, which the next model proposal continues
+    from; None otherwise.
     """
     if config.strategy == "random":
-        return sample_random(config.space, seed, 1)[0]
+        return sample_random(config.space, seed, 1)[0], None
 
     design, y = state.observations(config.objective.goal)
     n_obs = y.shape[0]
     running = [state.trials[tid] for tid in state.running_ids]
     if n_obs + len(running) < initial_design_size(config) or n_obs == 0:
-        return _design_point(config, len(state.trials))
+        return _design_point(config, len(state.trials)), None
 
     inference_seed = _derive_seed(seed, 1)
     propose_seed = _derive_seed(seed, 2)
-    thetas = slice_sample_thetas(design, y, _MCMC, inference_seed)
+    thetas = _sample_thetas(design, y, state.chain_log_theta, inference_seed)
     posteriors = []
     for theta in thetas:
         try:
@@ -133,13 +164,16 @@ def next_candidate(state: TuningJobState, config: TuningJobConfig,
             continue
     if not posteriors:
         raise CholeskyFailure("no hyperparameter sample could be factorised")
+    if len(posteriors) < len(thetas):
+        logger.warning("kept %d of %d hyperparameter samples: the others "
+                       "could not be factorised", len(posteriors), len(thetas))
     ctx = AcquisitionContext(
         posteriors=tuple(posteriors),
         incumbent=float(np.min(y)),
         pending=tuple(tuple(t.encoded) for t in running),
         space=config.space,
     )
-    return propose(ctx, propose_seed)
+    return propose(ctx, propose_seed), thetas[-1].to_log_vector()
 
 
 def _median_stops(state: TuningJobState, config: TuningJobConfig,
@@ -187,11 +221,13 @@ def merge_warm_start(parents: Iterable[tuple[TuningJobConfig, Iterable[TrialReco
     Every completed or early-stopped parent trial is re-validated against
     the child space: values out of range, categories unknown to the
     child, or values invalid under the child's scaling (a linear-parent
-    0.0 under a log-scaled child dimension) drop the observation.
-    Survivors are re-encoded with the child space.  The result feeds the
-    GP but never counts toward the child's trial budget.
+    0.0 under a log-scaled child dimension) drop the observation, and a
+    warning counts the dropped ones.  Survivors are re-encoded with the
+    child space.  The result feeds the GP but never counts toward the
+    child's trial budget.
     """
     merged: list[tuple[np.ndarray, float]] = []
+    dropped = 0
     for _, trials in parents:
         for trial in trials:
             if not trial.has_observation:
@@ -201,6 +237,11 @@ def merge_warm_start(parents: Iterable[tuple[TuningJobConfig, Iterable[TrialReco
                    for dim in child_space):
                 merged.append((encode(trial.config, child_space),
                                float(trial.final_value)))
+            else:
+                dropped += 1
+    if dropped:
+        logger.warning("dropped %d of %d warm-start observations: invalid "
+                       "in the child space", dropped, dropped + len(merged))
     return merged
 
 
@@ -247,12 +288,16 @@ class _Coordinator:
     # -- launching ---------------------------------------------------------
 
     def _launch(self, trial_id: str, candidate: Configuration,
-                encoded: np.ndarray, attempt: int, seed_index: int) -> None:
-        self._record({
+                encoded: np.ndarray, attempt: int, seed_index: int,
+                log_theta: np.ndarray | None = None) -> None:
+        event = {
             "type": "trial_launched", "trial_id": trial_id, "attempt": attempt,
             "config": dict(candidate.values),
             "encoded": [float(v) for v in encoded],
-        })
+        }
+        if log_theta is not None:
+            event["proposal"] = {"log_theta": [float(v) for v in log_theta]}
+        self._record(event)
         executor_seed = _derive_seed(self.config.seed, _SEED_EXECUTOR,
                                      seed_index, attempt)
         self.executor.launch(trial_id, candidate, executor_seed,
@@ -285,10 +330,10 @@ class _Coordinator:
             if self.stop_requested:
                 return
             index = len(state.trials)
-            candidate = next_candidate(
+            candidate, log_theta = next_candidate(
                 state, config, _derive_seed(config.seed, _SEED_CANDIDATE, index))
             self._launch(f"trial-{index + 1:04d}", candidate,
-                         encode(candidate, config.space), 1, index)
+                         encode(candidate, config.space), 1, index, log_theta)
 
     # -- event handling ----------------------------------------------------
 

@@ -298,7 +298,7 @@ def test_warm_start_accelerates_and_drops_invalid_rows(tmp_path):
     assert float(np.median(reach)) <= 5.0
 
     # A linear-scaled parent can hold a 0.0 observation that a log-scaled
-    # child cannot encode; the row must drop silently, not raise.
+    # child cannot encode; the row must drop, not raise.
     store = JobStore(tmp_path / "store")
     lin_parent = TuningJobConfig(
         job_id="acc7-lin", space=SearchSpace([continuous("c", 0.0, 1.0)]),

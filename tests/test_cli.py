@@ -3,9 +3,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tunekit
 from tunekit.cli import main
 from tunekit.jobs import ObjectiveSpec, TuningJobConfig, job_config_to_dict
 from tunekit.jobstore import JobStore
@@ -250,3 +255,39 @@ class TestExport:
         assert main(["export", "nope", "--store",
                      str(tmp_path / "store")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestLogLevel:
+    def _torn_store(self, tmp_path):
+        store_root = tmp_path / "store"
+        store = JobStore(store_root)
+        store.create_job(make_config(), EXECUTOR)
+        store.close()
+        with open(store.job_dir("cli-job") / "events.log", "a") as fh:
+            fh.write('{"type": "trial_la')  # crash mid-append
+        return store_root
+
+    def _describe(self, store_root, *flags):
+        # A fresh interpreter: logging is configured once per process.
+        src = Path(tunekit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("TUNER_STORE", None)
+        return subprocess.run(
+            [sys.executable, "-m", "tunekit.cli", *flags, "describe",
+             "cli-job", "--store", str(store_root)],
+            capture_output=True, text=True, env=env, timeout=60)
+
+    def test_warning_reaches_stderr_by_default(self, tmp_path):
+        done = self._describe(self._torn_store(tmp_path))
+        assert done.returncode == 0
+        assert "WARNING tunekit.jobstore: job cli-job: discarding torn" in done.stderr
+
+    def test_higher_level_silences_warnings(self, tmp_path):
+        done = self._describe(self._torn_store(tmp_path), "--log-level", "ERROR")
+        assert done.returncode == 0
+        assert done.stderr == ""
+
+    def test_unknown_level_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--log-level", "LOUD", "list", "--store", str(tmp_path)])
+        assert exc.value.code == 2

@@ -11,6 +11,7 @@ from tunekit import surrogate
 from tunekit.inference import (
     McmcConfig,
     _posterior_log_density,
+    StartPointError,
     StepOutFailure,
     log_prior,
     slice_sample,
@@ -239,6 +240,40 @@ class TestThetaSampling:
         design, y = small_dataset(4)
         thetas = slice_sample_thetas(design, y, McmcConfig(40, 10, 3), seed=3)
         assert any(not np.array_equal(t.warp_a, [1.0, 1.0]) for t in thetas)
+
+    def test_start_continues_a_chain(self):
+        design, y = small_dataset(5)
+        config = McmcConfig(40, 10, 3)
+        default = GpHyperParams.default(2).to_log_vector()
+        cold = slice_sample_thetas(design, y, config, seed=7)
+        same = slice_sample_thetas(design, y, config, seed=7, start=default)
+        assert [t.to_log_vector().tolist() for t in same] == [
+            t.to_log_vector().tolist() for t in cold]
+        start = cold[-1].to_log_vector()
+        warm = slice_sample_thetas(design, y, config, seed=7, start=start)
+        again = slice_sample_thetas(design, y, config, seed=7, start=start)
+        assert [t.to_log_vector().tolist() for t in warm] == [
+            t.to_log_vector().tolist() for t in again]
+        assert not np.array_equal(warm[0].lengthscales, cold[0].lengthscales)
+
+    def test_start_without_density_raises(self):
+        design, y = small_dataset(6)
+        with pytest.raises(StartPointError):
+            slice_sample_thetas(design, y, McmcConfig(10, 0, 1), seed=0,
+                                start=np.full(8, 50.0))
+        with pytest.raises(ValueError):
+            slice_sample_thetas(design, y, McmcConfig(10, 0, 1), seed=0,
+                                start=np.zeros(7))
+
+    def test_pinned_warp_ignores_start_warp(self):
+        design, y = small_dataset(3)
+        start = GpHyperParams.default(2).to_log_vector()
+        start[4:] = 0.5
+        thetas = slice_sample_thetas(design, y, McmcConfig(20, 5, 3), seed=2,
+                                     sample_warp=False, start=start)
+        for theta in thetas:
+            np.testing.assert_array_equal(theta.warp_a, 1.0)
+            np.testing.assert_array_equal(theta.warp_b, 1.0)
 
     def test_invalid_config_rejected(self):
         design, y = small_dataset()

@@ -283,6 +283,30 @@ class TestReplay:
         with pytest.raises(CorruptStoreError, match="journal event 2 "):
             replay_events(make_config(), [launched("trial-0001"), bad])
 
+    def test_model_launch_records_chain_state(self):
+        log_theta = [0.125 * i for i in range(8)]
+        state = replay_events(make_config(), [
+            launched("trial-0001"),
+            dict(launched("trial-0002"), proposal={"log_theta": log_theta}),
+            completed("trial-0002", 1.0),
+            launched("trial-0003")])
+        np.testing.assert_array_equal(state.chain_log_theta, log_theta)
+        assert replay_events(make_config(), [
+            launched("trial-0001")]).chain_log_theta is None
+
+    @pytest.mark.parametrize("proposal", [
+        {"log_theta": [0.0] * 7},
+        {"log_theta": [float("nan")] * 8},
+        {"log_theta": ["x"] * 8},
+        {"log_theta": [[0.0]] * 8},
+        {},
+        [0.0] * 8,
+    ])
+    def test_malformed_proposal_names_its_index(self, proposal):
+        bad = dict(launched("trial-0002"), proposal=proposal)
+        with pytest.raises(CorruptStoreError, match="journal event 2 "):
+            replay_events(make_config(), [launched("trial-0001"), bad])
+
     def test_replay_equals_journal_roundtrip(self, store):
         # reading the journal back through the store must reproduce the
         # state that direct replay yields

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
 import threading
 import time
 
@@ -13,6 +14,7 @@ from tunekit.benchmarks import branin, curve_sim_value
 from tunekit.runner import (
     ENV_HPARAMS_FILE,
     ENV_TRIAL_ID,
+    HPARAMS_FILENAME,
     METRIC_LINE,
     BuiltinExecutor,
     ExecutorSpec,
@@ -346,6 +348,34 @@ class TestExternalExecutor:
         sink = run_external(["/nonexistent-binary-tunekit-test"], tmp_path)
         assert sink.last.kind == "failed"
         assert sink.last.reason == "spawn_failure"
+
+    def test_shutdown_removes_its_own_temp_dir(self, child_script, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        script = child_script(CHILD_HAPPY, env_hparams=ENV_HPARAMS_FILE,
+                              env_trial=ENV_TRIAL_ID)
+        spec = ExecutorSpec(kind="external", command=(sys.executable, script))
+        executor = ExternalExecutor(spec, "loss", 1)
+        sink = Collector()
+        try:
+            executor.launch("trial-0001", Configuration({"x": 0.5}), 0, sink)
+            sink.wait(30.0)
+            made = list(tmp_path.glob("tunekit-trials-*"))
+            assert len(made) == 1
+            assert (made[0] / "trial-0001" / HPARAMS_FILENAME).is_file()
+        finally:
+            executor.shutdown()
+        assert sink.last.kind == "completed"
+        assert list(tmp_path.glob("tunekit-trials-*")) == []
+        # An executor that ran no trial leaves nothing behind either.
+        ExternalExecutor(spec, "loss", 1).shutdown()
+        assert list(tmp_path.glob("tunekit-trials-*")) == []
+
+    def test_shutdown_keeps_user_workdir(self, child_script, tmp_path):
+        script = child_script(CHILD_HAPPY, env_hparams=ENV_HPARAMS_FILE,
+                              env_trial=ENV_TRIAL_ID)
+        run_external([sys.executable, script], tmp_path)
+        assert (tmp_path / "trials" / "trial-0001" / HPARAMS_FILENAME).is_file()
 
     def test_stop_kills_child_silently(self, child_script, tmp_path):
         script = child_script(CHILD_CHATTY_FOREVER)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import sys
 import threading
 import time
@@ -9,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from tunekit import scheduler
 from tunekit.benchmarks import get_benchmark
 from tunekit.jobs import (
     JobConfigError,
@@ -44,6 +46,7 @@ from tunekit.space import (
 )
 from tunekit.sobol import scrambled_sobol_points
 from tunekit.stopping import MetricCurve
+from tunekit.surrogate import CholeskyFailure
 
 BRANIN_SPACE = SearchSpace([
     continuous("x1", -5.0, 10.0),
@@ -256,27 +259,27 @@ class TestNextCandidate:
     def test_random_matches_sampler(self):
         config = make_config(strategy="random")
         state = TuningJobState()
-        got = next_candidate(state, config, seed=42)
+        got, _ = next_candidate(state, config, seed=42)
         expected = sample_random(config.space, 42, 1)[0]
         assert got.values == expected.values
 
     def test_random_seed_changes_candidate(self):
         config = make_config(strategy="random")
         state = TuningJobState()
-        a = next_candidate(state, config, seed=1)
-        b = next_candidate(state, config, seed=2)
+        a, _ = next_candidate(state, config, seed=1)
+        b, _ = next_candidate(state, config, seed=2)
         assert a.values != b.values
 
     def test_bayesian_walks_design_while_cold(self):
         config = make_config(strategy="bayesian")
         state = TuningJobState()
-        first = next_candidate(state, config, seed=9)
+        first, _ = next_candidate(state, config, seed=9)
         assert first.values == _design_point(config, 0).values
         # One running trial advances the design index without observations.
         trial = make_trial(1, config.space, dict(first), status="running",
                            final=None)
         state.trials[trial.trial_id] = trial
-        second = next_candidate(state, config, seed=10)
+        second, _ = next_candidate(state, config, seed=10)
         assert second.values == _design_point(config, 1).values
 
     def test_bayesian_stays_on_design_without_observations(self):
@@ -290,7 +293,7 @@ class TestNextCandidate:
             trial = make_trial(i, config.space, dict(point),
                                status="running", final=None)
             state.trials[trial.trial_id] = trial
-        got = next_candidate(state, config, seed=3)
+        got, _ = next_candidate(state, config, seed=3)
         assert got.values == _design_point(config, 7).values
 
     def _warm_state(self, config, n: int) -> TuningJobState:
@@ -305,7 +308,7 @@ class TestNextCandidate:
     def test_bayesian_model_phase_proposes_valid_point(self):
         config = make_config(strategy="bayesian")
         state = self._warm_state(config, 6)
-        got = next_candidate(state, config, seed=11)
+        got, _ = next_candidate(state, config, seed=11)
         enc = encode(got, config.space)
         assert enc.shape == (2,)
         assert np.all(enc >= 0.0) and np.all(enc <= 1.0)
@@ -316,20 +319,77 @@ class TestNextCandidate:
     def test_bayesian_model_phase_deterministic(self):
         config = make_config(strategy="bayesian")
         state = self._warm_state(config, 6)
-        a = next_candidate(state, config, seed=11)
-        b = next_candidate(state, config, seed=11)
+        a, _ = next_candidate(state, config, seed=11)
+        b, _ = next_candidate(state, config, seed=11)
         assert a.values == b.values
 
     def test_bayesian_avoids_pending(self):
         config = make_config(strategy="bayesian")
         state = self._warm_state(config, 6)
-        probe = next_candidate(state, config, seed=13)
+        probe, _ = next_candidate(state, config, seed=13)
         pending = make_trial(7, config.space, dict(probe), status="running",
                              final=None)
         state.trials[pending.trial_id] = pending
-        got = next_candidate(state, config, seed=13)
+        got, _ = next_candidate(state, config, seed=13)
         assert np.max(np.abs(encode(got, config.space)
                              - encode(probe, config.space))) >= 1e-6
+
+    def test_only_model_proposals_return_chain_state(self):
+        config = make_config(strategy="bayesian")
+        assert next_candidate(TuningJobState(), config, seed=9)[1] is None
+        random_config = make_config(strategy="random")
+        assert next_candidate(TuningJobState(), random_config, seed=9)[1] is None
+        _, log_theta = next_candidate(self._warm_state(config, 6), config,
+                                      seed=11)
+        assert log_theta.shape == (3 * 2 + 2,)
+        assert np.isfinite(log_theta).all()
+
+    def test_chain_continues_from_state(self, monkeypatch):
+        calls = []
+        sample = scheduler.slice_sample_thetas
+
+        def recording(design, y, mcmc, seed, **kwargs):
+            calls.append((mcmc, kwargs.get("start")))
+            return sample(design, y, mcmc, seed, **kwargs)
+
+        monkeypatch.setattr(scheduler, "slice_sample_thetas", recording)
+        config = make_config(strategy="bayesian")
+        state = self._warm_state(config, 6)
+        _, log_theta = next_candidate(state, config, seed=11)
+        state.chain_log_theta = log_theta
+        next_candidate(state, config, seed=12)
+        (cold, cold_start), (warm, warm_start) = calls
+        assert cold == scheduler._MCMC_COLD and cold_start is None
+        assert warm == scheduler._MCMC_WARM and warm_start is log_theta
+        assert warm.effective_samples == cold.effective_samples == 10
+
+    def test_unusable_chain_state_falls_back_to_cold(self, caplog):
+        config = make_config(strategy="bayesian")
+        state = self._warm_state(config, 6)
+        cold, _ = next_candidate(state, config, seed=11)
+        # Outside the hyperparameter box the posterior density is zero.
+        state.chain_log_theta = np.full(3 * 2 + 2, 50.0)
+        with caplog.at_level(logging.WARNING, logger="tunekit.scheduler"):
+            got, _ = next_candidate(state, config, seed=11)
+        assert got.values == cold.values
+        assert "starting a cold chain" in caplog.text
+
+    def test_dropped_ensemble_members_are_reported(self, monkeypatch, caplog):
+        fit = scheduler.fit_posterior
+        calls = []
+
+        def first_fails(design, y, theta):
+            calls.append(theta)
+            if len(calls) == 1:
+                raise CholeskyFailure("forced")
+            return fit(design, y, theta)
+
+        monkeypatch.setattr(scheduler, "fit_posterior", first_fails)
+        config = make_config(strategy="bayesian")
+        with caplog.at_level(logging.WARNING, logger="tunekit.scheduler"):
+            next_candidate(self._warm_state(config, 6), config, seed=11)
+        assert len(calls) == 10
+        assert "kept 9 of 10 hyperparameter samples" in caplog.text
 
 
 # --- on_metric_report ------------------------------------------------------
@@ -431,10 +491,30 @@ class TestMergeWarmStart:
 
     def test_linear_zero_under_log_child_dropped(self):
         # A linear parent can legally observe 0.0; a log child cannot
-        # encode it, so the row is silently dropped.
+        # encode it, so the row is dropped.
         trial = self._parent_trial(1, {"lr": 0.0, "opt": "sgd"}, final=0.1)
         assert merge_warm_start([(self.PARENT_CONFIG, [trial])],
                                 self.CHILD) == []
+
+    def test_dropped_rows_are_counted(self, caplog):
+        # Criterion 7's case: a linear parent over [0, 1] observed 0.0 and
+        # 0.5; a log-scaled child cannot encode 0.0.
+        parent_space = SearchSpace([continuous("c", 0.0, 1.0)])
+        child_space = SearchSpace([continuous("c", 1e-9, 1.0, scaling="log")])
+        trials = [make_trial(i, parent_space, {"c": c}, final=final)
+                  for i, (c, final) in enumerate(((0.0, 0.9), (0.5, 0.2)),
+                                                 start=1)]
+        with caplog.at_level(logging.WARNING, logger="tunekit.scheduler"):
+            merged = merge_warm_start([(self.PARENT_CONFIG, trials)],
+                                      child_space)
+        assert [v for _, v in merged] == [0.2]
+        assert "dropped 1 of 2 warm-start observations" in caplog.text
+
+    def test_nothing_dropped_logs_nothing(self, caplog):
+        trial = self._parent_trial(1, {"lr": 1e-2, "opt": "adam"}, final=0.5)
+        with caplog.at_level(logging.WARNING, logger="tunekit.scheduler"):
+            merge_warm_start([(self.PARENT_CONFIG, [trial])], self.CHILD)
+        assert caplog.records == []
 
     def test_unobserved_trials_dropped(self):
         failed = self._parent_trial(1, {"lr": 1e-2, "opt": "adam"},
@@ -874,3 +954,65 @@ class TestResume:
         assert events[2]["terminal"] is True
         assert trial.finished == events[2]["ts"]
         assert state.count("completed") == 1 and state.terminal_count == 2
+
+
+# --- the hyperparameter chain across a crash -------------------------------
+
+def proposals_hex(state: TuningJobState) -> dict[str, dict[str, str]]:
+    return {tid: {k: float(v).hex() for k, v in t.config.values.items()}
+            for tid, t in state.trials.items()}
+
+
+class TestChainResume:
+    CONFIG = make_config(job_id="job-chain", strategy="bayesian",
+                         max_trials=8, seed=19)
+
+    def _reference(self, root):
+        state = run_to_completion(root, self.CONFIG)
+        store = JobStore(root)
+        events = store.read_events(self.CONFIG.job_id)
+        store.close()
+        return state, events
+
+    def test_crash_at_every_event_boundary_proposes_the_same(self, tmp_path):
+        config = self.CONFIG
+        reference, events = self._reference(tmp_path / "ref")
+        model_launches = [e for e in events if "proposal" in e]
+        assert len(model_launches) == (config.max_trials
+                                       - initial_design_size(config))
+        want = proposals_hex(reference)
+        for boundary in range(len(events)):
+            root = tmp_path / f"crash-{boundary:02d}"
+            faulty = FaultyStore(root, fail_after=boundary)
+            executor = make_executor(FAST_BRANIN, "loss", 1)
+            try:
+                with pytest.raises(JobAborted):
+                    run_job(config, faulty, executor)
+            finally:
+                executor.shutdown()
+                faulty.close()
+            state = run_to_completion(root, config)
+            assert state.count("completed") == config.max_trials, boundary
+            assert proposals_hex(state) == want, boundary
+
+    def test_journal_without_chain_state_resumes(self, tmp_path):
+        # A journal written before launches carried a proposal: cut it
+        # after a model launch and strip every proposal.
+        config = self.CONFIG
+        root = tmp_path / "s"
+        _, events = self._reference(root)
+        cut = next(i for i, e in enumerate(events)
+                   if e.get("trial_id") == "trial-0006"
+                   and e["type"] == "trial_launched")
+        old = [{k: v for k, v in e.items() if k != "proposal"}
+               for e in events[:cut + 1]]
+        journal = root / config.job_id / "events.log"
+        journal.write_text("".join(json.dumps(e, separators=(",", ":")) + "\n"
+                                   for e in old), encoding="utf-8")
+        state = run_to_completion(root, config)
+        assert state.count("completed") == config.max_trials
+        store = JobStore(root)
+        resumed = store.read_events(config.job_id)[len(old):]
+        store.close()
+        assert [e["trial_id"] for e in resumed if "proposal" in e] == [
+            "trial-0007", "trial-0008"]
