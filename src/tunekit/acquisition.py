@@ -1,14 +1,18 @@
 """Expected improvement acquisition and the proposal search.
 
 Acquisition values are averaged over an ensemble of GP posteriors (one
-per hyperparameter sample).  Proposal search scores a Sobol' anchor set,
-refines the best anchors by coordinate-wise golden-section search, snaps
-the refined points onto representable configurations, and drops anything
-that collides with a pending or already-evaluated design point.
+per hyperparameter sample).  Proposal search scores a Sobol' anchor set
+(generated once per encoded width and reused), refines the best anchors
+by a batched compass search, snaps the refined points onto representable
+configurations, and drops anything that collides with a pending or
+already-evaluated design point.  The compass search scores the probes of
+all its starts in one acquisition call per round, and the survivors are
+scored in one more.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,10 +37,9 @@ __all__ = [
 _SIGMA_FLOOR = 1e-12
 _DUPLICATE_TOL = 1e-6
 _TOP_ANCHORS = 5
-_REFINE_SWEEPS = 3
-_GOLDEN_TOL = 1e-4
+_COMPASS_STEP = 0.125
+_COMPASS_MIN_STEP = 1e-4
 _RANDOM_FALLBACK_TRIES = 16
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _norm_pdf(x: np.ndarray) -> np.ndarray:
@@ -111,55 +114,44 @@ def acquisition_value(x: np.ndarray, ctx: AcquisitionContext) -> float:
 
 def _refine(starts: np.ndarray, values: np.ndarray,
             ctx: AcquisitionContext) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate-wise golden-section ascent from several anchors at once.
+    """Batched compass search from several anchors at once.
 
-    Each start is refined independently (a coordinate move is accepted
-    only if it improves that start's value), but the probes of all starts
-    are evaluated in shared batches.  Returns refined points and values;
-    per start the value never drops below its anchor value.
+    Each round probes ``x +- r * e_j`` for every coordinate of every live
+    start, clipped to the unit cube, and scores all probes in one
+    acquisition call.  A start moves to its best probe when that beats
+    its current value and otherwise halves its own step ``r`` (initially
+    0.125); it stops once ``r`` is at most 1e-4.  Deterministic.  Returns
+    refined points and values; per start the value never drops below its
+    anchor value.
     """
-    x = starts.copy()
-    fx = values.astype(float).copy()
+    x = starts.astype(float)
+    fx = values.astype(float)
     k, dim = x.shape
-
-    def eval_coord(j: int, t: np.ndarray) -> np.ndarray:
-        probes = x.copy()
-        probes[:, j] = t
-        return acquisition_values(probes, ctx)
-
-    for _ in range(_REFINE_SWEEPS):
-        for j in range(dim):
-            a = np.zeros(k)
-            b = np.ones(k)
-            c = b - _INV_PHI * (b - a)
-            d = a + _INV_PHI * (b - a)
-            fc = eval_coord(j, c)
-            fd = eval_coord(j, d)
-            best_t = np.where(fc >= fd, c, d)
-            best_f = np.maximum(fc, fd)
-            while np.max(b - a) > _GOLDEN_TOL:
-                keep_low = fc >= fd
-                next_a = np.where(keep_low, a, c)
-                next_b = np.where(keep_low, d, b)
-                # One interior point carries over per start; the other is
-                # a fresh probe, batched across starts.
-                next_c = np.where(keep_low,
-                                  next_b - _INV_PHI * (next_b - next_a), d)
-                next_d = np.where(keep_low, c,
-                                  next_a + _INV_PHI * (next_b - next_a))
-                t_eval = np.where(keep_low, next_c, next_d)
-                f_eval = eval_coord(j, t_eval)
-                next_fc = np.where(keep_low, f_eval, fd)
-                next_fd = np.where(keep_low, fc, f_eval)
-                a, b, c, d = next_a, next_b, next_c, next_d
-                fc, fd = next_fc, next_fd
-                improved = f_eval > best_f
-                best_t = np.where(improved, t_eval, best_t)
-                best_f = np.where(improved, f_eval, best_f)
-            accept = best_f > fx
-            x[accept, j] = best_t[accept]
-            fx = np.where(accept, best_f, fx)
+    steps = np.vstack([np.eye(dim), -np.eye(dim)])
+    r = np.full(k, _COMPASS_STEP)
+    live = np.arange(k)
+    while live.size:
+        probes = np.clip(x[live, np.newaxis, :]
+                         + r[live, np.newaxis, np.newaxis] * steps, 0.0, 1.0)
+        scores = acquisition_values(probes.reshape(-1, dim), ctx)
+        scores = scores.reshape(live.size, 2 * dim)
+        best = np.argmax(scores, axis=1)
+        best_f = scores[np.arange(live.size), best]
+        moves = best_f > fx[live]
+        moved = live[moves]
+        x[moved] = probes[moves, best[moves]]
+        fx[moved] = best_f[moves]
+        r[live[~moves]] *= 0.5
+        live = live[r[live] > _COMPASS_MIN_STEP]
     return x, fx
+
+
+@functools.cache
+def _sobol_anchors(width: int, count: int) -> np.ndarray:
+    """The Sobol' anchor set for an encoded width, shared and read-only."""
+    anchors = sobol_points(width, count, skip=1)
+    anchors.flags.writeable = False
+    return anchors
 
 
 def _min_distance(x: np.ndarray, existing: np.ndarray) -> float:
@@ -175,21 +167,22 @@ def _known_points(ctx: AcquisitionContext) -> np.ndarray:
 def propose(ctx: AcquisitionContext, seed: int | np.random.SeedSequence) -> Configuration:
     """Pick the next configuration to evaluate.
 
-    Scores a Sobol' anchor set of ``min(2048, 512 * w)`` points, refines
-    the five best anchors coordinate-wise, snaps each refined point onto
-    a representable configuration, and returns the surviving candidate
-    with the highest acquisition value.  Candidates within Euclidean
-    distance 1e-6 of a pending or evaluated design point are discarded;
-    if nothing survives, the best non-colliding anchor is used, and as a
-    last resort a random non-colliding sample.  Deterministic for a
-    fixed context and seed.
+    Scores a Sobol' anchor set of ``min(2048, 512 * w)`` points (computed
+    once per width), refines the five best anchors by a batched compass
+    search, snaps each refined point onto a representable configuration,
+    scores the survivors in one batch, and returns the one with the
+    highest acquisition value (the first, on a tie).  Candidates within
+    Euclidean distance 1e-6 of a pending or evaluated design point are
+    discarded; if nothing survives, the best non-colliding anchor is
+    used, and as a last resort a random non-colliding sample.
+    Deterministic for a fixed context and seed.
     """
     if not ctx.posteriors:
         raise ValueError("propose requires at least one fitted posterior")
     width = ctx.space.encoded_width
     n_anchor = min(2048, 512 * width)
     if width <= MAX_DIMENSION:
-        anchors = sobol_points(width, n_anchor, skip=1)
+        anchors = _sobol_anchors(width, n_anchor)
     else:
         anchors = np.random.default_rng(seed).random((n_anchor, width))
     values = acquisition_values(anchors, ctx)
@@ -198,16 +191,12 @@ def propose(ctx: AcquisitionContext, seed: int | np.random.SeedSequence) -> Conf
     order = np.argsort(values)[::-1]
     top = order[:_TOP_ANCHORS]
     refined, _ = _refine(anchors[top], values[top], ctx)
-    survivors: list[tuple[float, np.ndarray]] = []
-    for row in refined:
-        snapped = encode(decode(row, ctx.space), ctx.space)
-        if _min_distance(snapped, known) < _DUPLICATE_TOL:
-            continue
-        survivors.append((acquisition_value(snapped, ctx), snapped))
-
+    candidates = [encode(decode(row, ctx.space), ctx.space) for row in refined]
+    survivors = [row for row in candidates
+                 if _min_distance(row, known) >= _DUPLICATE_TOL]
     if survivors:
-        _, best = max(survivors, key=lambda item: item[0])
-        return decode(best, ctx.space)
+        scores = acquisition_values(np.array(survivors), ctx)
+        return decode(survivors[int(np.argmax(scores))], ctx.space)
 
     for idx in order:
         snapped = encode(decode(anchors[idx], ctx.space), ctx.space)

@@ -303,14 +303,17 @@ class _Coordinator:
         self.executor.launch(trial_id, candidate, executor_seed,
                              self.events.put)
 
-    def _fill_slots(self) -> None:
+    def _fill_slots(self) -> bool:
         """Launch retries, then new trials, while a slot is free.
 
         job.json is read for a stop request only when the budget would
-        allow a new trial.
+        allow a new trial.  Returns whether a trial is running afterwards.
+        The running trials are counted once; only this loop's launches
+        change that count, since events are handled on this thread.
         """
         config, state = self.config, self.state
-        while len(state.running_ids) < config.max_parallel:
+        running = len(state.running_ids)
+        while running < config.max_parallel:
             retries = sorted(state.retry_ids)
             # A first attempt seeds its executor from the 0-based launch
             # index, a retry from the 1-based trial number.
@@ -318,9 +321,10 @@ class _Coordinator:
                 trial = state.trials[retries[0]]
                 self._launch(trial.trial_id, trial.config, trial.encoded,
                              trial.attempts + 1, _trial_index(trial.trial_id))
+                running += 1
                 continue
             if len(state.trials) >= config.max_trials:
-                return
+                break
             if not self.stop_requested:
                 try:
                     self.stop_requested = (
@@ -328,12 +332,14 @@ class _Coordinator:
                 except (StoreError, OSError):
                     pass
             if self.stop_requested:
-                return
+                break
             index = len(state.trials)
             candidate, log_theta = next_candidate(
                 state, config, _derive_seed(config.seed, _SEED_CANDIDATE, index))
             self._launch(f"trial-{index + 1:04d}", candidate,
                          encode(candidate, config.space), 1, index, log_theta)
+            running += 1
+        return running > 0
 
     # -- event handling ----------------------------------------------------
 
@@ -400,10 +406,10 @@ class _Coordinator:
         # Retries launch first and a new trial is refused only when the
         # budget is spent or a stop was requested, so a fill that leaves
         # nothing running leaves nothing to do.
-        self._fill_slots()
-        while self.state.running_ids:
+        running = self._fill_slots()
+        while running:
             self._handle(self.events.get())
-            self._fill_slots()
+            running = self._fill_slots()
         self._set_job_status("completed")
         return self.state
 

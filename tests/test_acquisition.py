@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_expected_improvement
+from tunekit import acquisition
 from tunekit.acquisition import (
     AcquisitionContext,
+    _refine,
     acquisition_value,
     acquisition_values,
     expected_improvement,
@@ -192,6 +194,18 @@ class TestEnsemble:
                                    np.mean(per_member, axis=0), rtol=1e-10)
 
 
+def _record_call_sizes(monkeypatch) -> list[int]:
+    """Record the row count of every later ``acquisition_values`` call."""
+    sizes: list[int] = []
+
+    def counted(x, ctx):
+        sizes.append(len(x))
+        return acquisition_values(x, ctx)
+
+    monkeypatch.setattr(acquisition, "acquisition_values", counted)
+    return sizes
+
+
 class TestPropose:
     def test_requires_posterior(self):
         space = SearchSpace([continuous("x", 0.0, 1.0)])
@@ -234,7 +248,7 @@ class TestPropose:
             assert proposed_val >= anchor_best - 1e-9
 
     def test_near_dense_grid_optimum_1d(self):
-        # golden-section refinement is local, so exact grid optimality is
+        # compass-search refinement is local, so exact grid optimality is
         # not guaranteed on a multimodal surface; the anchor set plus
         # refinement must still get within a few percent of the best
         space = SearchSpace([continuous("x", 0.0, 1.0)])
@@ -244,6 +258,31 @@ class TestPropose:
         grid = np.linspace(0.0, 1.0, 4097).reshape(-1, 1)
         grid_best = acquisition_values(grid, ctx).max()
         assert proposed_val >= grid_best * 0.95 - 1e-12
+
+    def test_near_dense_grid_optimum_2d(self):
+        ctx = make_context(24, n=8)
+        config = propose(ctx, 0)
+        proposed_val = acquisition_value(encode(config, ctx.space), ctx)
+        axis = np.linspace(0.0, 1.0, 257)
+        grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        grid_best = acquisition_values(grid, ctx).max()
+        assert proposed_val >= grid_best * 0.95 - 1e-12
+
+    def test_anchor_call_first_and_survivors_in_one_call(self, monkeypatch):
+        # the traced bench takes propose's first acquisition call as the
+        # anchor scoring and every later one as refinement
+        ctx = make_context(25)
+        sizes = _record_call_sizes(monkeypatch)
+        propose(ctx, 0)
+        assert sizes[0] == 1024
+        assert 1 <= sizes[-1] <= 5
+        assert len(sizes) <= 32
+
+    def test_anchor_set_is_shared_and_read_only(self):
+        anchors = acquisition._sobol_anchors(3, 1536)
+        assert acquisition._sobol_anchors(3, 1536) is anchors
+        assert not anchors.flags.writeable
+        np.testing.assert_array_equal(anchors, sobol_points(3, 1536, skip=1))
 
     def test_avoids_pending_point(self):
         space = SearchSpace([continuous("x", 0.0, 1.0)])
@@ -284,3 +323,54 @@ class TestPropose:
         ctx = make_context(23, pending=pending)
         propose(ctx, 0)
         assert ctx.pending == ((0.5, 0.5),)
+
+
+def _cube_space(width: int) -> SearchSpace:
+    return SearchSpace([continuous(f"x{i}", 0.0, 1.0) for i in range(width)])
+
+
+def _top_anchors(ctx: AcquisitionContext) -> tuple[np.ndarray, np.ndarray]:
+    width = ctx.space.encoded_width
+    anchors = sobol_points(width, min(2048, 512 * width), skip=1)
+    values = acquisition_values(anchors, ctx)
+    top = np.argsort(values)[::-1][:5]
+    return anchors[top], values[top]
+
+
+class TestRefine:
+    @pytest.mark.parametrize("width, max_calls", [(2, 30), (8, 80)])
+    def test_probe_calls_bounded(self, monkeypatch, width, max_calls):
+        ctx = make_context(30, n=20, k_posteriors=3, space=_cube_space(width))
+        starts, values = _top_anchors(ctx)
+        sizes = _record_call_sizes(monkeypatch)
+        _refine(starts, values, ctx)
+        assert 0 < len(sizes) <= max_calls
+        # every round scores 2 * width probes per live start in one call
+        assert all(size % (2 * width) == 0 for size in sizes)
+        assert sizes[0] == 5 * 2 * width
+
+    @pytest.mark.parametrize("seed, width", [(31, 1), (32, 2), (33, 4)])
+    def test_values_never_drop_and_points_stay_in_cube(self, seed, width):
+        ctx = make_context(seed, n=10, k_posteriors=2, space=_cube_space(width))
+        starts, values = _top_anchors(ctx)
+        # corners as well: their probes leave the cube unless clipped
+        corners = np.array([np.zeros(width), np.ones(width)])
+        starts = np.vstack([starts, corners])
+        values = np.concatenate([values, acquisition_values(corners, ctx)])
+        refined, refined_values = _refine(starts, values, ctx)
+        assert refined.shape == starts.shape
+        assert np.all(refined_values >= values)
+        assert np.all((refined >= 0.0) & (refined <= 1.0))
+        np.testing.assert_allclose(refined_values,
+                                   acquisition_values(refined, ctx), rtol=1e-9)
+
+    def test_deterministic_and_inputs_untouched(self):
+        ctx = make_context(34, n=12)
+        starts, values = _top_anchors(ctx)
+        starts_before, values_before = starts.copy(), values.copy()
+        first = _refine(starts, values, ctx)
+        second = _refine(starts, values, ctx)
+        np.testing.assert_array_equal(first[0], second[0])
+        np.testing.assert_array_equal(first[1], second[1])
+        np.testing.assert_array_equal(starts, starts_before)
+        np.testing.assert_array_equal(values, values_before)
