@@ -149,19 +149,35 @@ class Executor(Protocol):
 
 
 class _StopFlags:
-    """Thread-safe per-trial stop flags shared by both executors."""
+    """Thread-safe stop flags, one per attempt that has not yet returned.
+
+    Shared by both executors.  A flag lives from its attempt's launch to
+    the return of its run, so an executor holds none for finished trials.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._flags: dict[str, threading.Event] = {}
 
     def register(self, trial_id: str) -> threading.Event:
+        """A fresh flag for a new attempt; it replaces any older one."""
+        flag = threading.Event()
         with self._lock:
-            flag = self._flags.setdefault(trial_id, threading.Event())
+            self._flags[trial_id] = flag
         return flag
 
+    def release(self, trial_id: str, flag: threading.Event) -> None:
+        """Drop ``flag`` if it is still the trial's, not a retry's newer one."""
+        with self._lock:
+            if self._flags.get(trial_id) is flag:
+                del self._flags[trial_id]
+
     def set(self, trial_id: str) -> None:
-        self.register(trial_id).set()
+        """Stop the trial's current attempt; a no-op once it has returned."""
+        with self._lock:
+            flag = self._flags.get(trial_id)
+        if flag is not None:
+            flag.set()
 
     def set_all(self) -> None:
         with self._lock:
@@ -198,7 +214,14 @@ class _PooledExecutor:
     def launch(self, trial_id: str, config: Configuration, seed: int,
                emit: EmitFn) -> None:
         flag = self._stops.register(trial_id)
-        self._pool.submit(self._run, trial_id, config, seed, emit, flag)
+        self._pool.submit(self._attempt, trial_id, config, seed, emit, flag)
+
+    def _attempt(self, trial_id: str, config: Configuration, seed: int,
+                 emit: EmitFn, flag: threading.Event) -> None:
+        try:
+            self._run(trial_id, config, seed, emit, flag)
+        finally:
+            self._stops.release(trial_id, flag)
 
     def request_stop(self, trial_id: str) -> None:
         self._stops.set(trial_id)

@@ -3,17 +3,17 @@
 One coordinator (the thread calling :func:`run_job`) owns all mutable job
 state.  Trials execute concurrently through an executor and talk back
 only via an ordered event queue.  The loop fills the free slots, then,
-while any trial runs, handles one event and fills again; the job is done
-when a fill leaves nothing running.  Filling relaunches pending retries
-first, and only then proposes new trials: the surrogate is refit on
-everything observed so far, so slots never wait for each other.  A new
-trial is refused once the budget is spent or a stop was requested; the
-stop request (``stopping`` in job.json) is read only at that decision,
-once per proposed launch, and in-flight trials run to their end.
-Handlers only decide what happens: each transition is journaled first
-and then applied through :func:`~tunekit.jobstore.apply_event`, the
-transition function replay uses, so a crash at any event boundary is
-recoverable by replay.
+while any trial runs, handles one event, and fills again when that event
+took its trial out of ``running``; the job is done when a fill leaves
+nothing running.  Filling relaunches pending retries first, and only
+then proposes new trials: the surrogate is refit on everything observed
+so far, so slots never wait for each other.  A new trial is refused
+once the budget is spent or a stop was requested; the stop request
+(``stopping`` in job.json) is read only at that decision, once per
+proposed launch, and in-flight trials run to their end.  Handlers only
+decide what happens: each transition is journaled first and then applied
+through :func:`~tunekit.jobstore.apply_event`, the transition function
+replay uses, so a crash at any event boundary is recoverable by replay.
 
 Model proposals continue one slice-sampling chain over the GP
 hyperparameters.  A job's first model proposal, and any whose state holds
@@ -55,7 +55,7 @@ from .space import (
     validate_value,
 )
 from .sobol import scrambled_sobol_points
-from .stopping import median_rule
+from .stopping import CompletedCurves, median_rule
 from .surrogate import CholeskyFailure, GpHyperParams, fit_posterior
 
 logger = logging.getLogger(__name__)
@@ -176,16 +176,15 @@ def next_candidate(state: TuningJobState, config: TuningJobConfig,
     return propose(ctx, propose_seed), thetas[-1].to_log_vector()
 
 
-def _median_stops(state: TuningJobState, config: TuningJobConfig,
+def _median_stops(completed: CompletedCurves, config: TuningJobConfig,
                   trial: TrialRecord, iteration: int) -> bool:
     """Whether the median rule, if enabled, stops ``trial`` at ``iteration``.
 
-    The trial is compared against the curves of completed trials.
+    The trial is compared against ``completed``, the curves of the
+    completed trials.
     """
     if config.early_stopping != "median":
         return False
-    completed = [t.curve for t in state.trials.values()
-                 if t.status == "completed"]
     decision = median_rule(trial.curve, completed, iteration,
                            config.objective.goal)
     return decision.should_stop
@@ -211,7 +210,9 @@ def on_metric_report(state: TuningJobState, config: TuningJobConfig,
         return False
     apply_event(config, state, {"type": "metric_reported", "trial_id": trial_id,
                                 "iteration": iteration, "value": value})
-    return _median_stops(state, config, trial, iteration)
+    completed = CompletedCurves(
+        t.curve for t in state.trials.values() if t.status == "completed")
+    return _median_stops(completed, config, trial, iteration)
 
 
 def merge_warm_start(parents: Iterable[tuple[TuningJobConfig, Iterable[TrialRecord]]],
@@ -254,6 +255,9 @@ class _Coordinator:
         self.state = state
         self.events: queue.Queue[TrialEvent] = queue.Queue()
         self.stop_requested = False
+        # Derived from the state, so a resumed job starts from its journal.
+        self.completed = CompletedCurves(
+            t.curve for t in state.trials.values() if t.status == "completed")
 
     # -- recording (store failures abort the job) ------------------------
 
@@ -263,6 +267,8 @@ class _Coordinator:
         job_id = self.config.job_id
         self._write(self.store.append_event, job_id, event)
         apply_event(self.config, self.state, event)
+        if event["type"] == "trial_completed":
+            self.completed.add(self.state.trials[event["trial_id"]].curve)
         if "trial_id" in event and event["type"] != "metric_reported":
             self._write(self.store.write_trial, job_id,
                         self.state.trials[event["trial_id"]])
@@ -355,7 +361,7 @@ class _Coordinator:
             "type": "metric_reported", "trial_id": trial.trial_id,
             "iteration": int(event.iteration), "value": float(event.value),
         })
-        if not _median_stops(self.state, config, trial, event.iteration):
+        if not _median_stops(self.completed, config, trial, event.iteration):
             return
         self._record({
             "type": "trial_stopped", "trial_id": trial.trial_id,
@@ -379,18 +385,20 @@ class _Coordinator:
             "terminal": trial.attempts > self.config.retry_limit,
         })
 
-    def _handle(self, event: TrialEvent) -> None:
+    def _handle(self, event: TrialEvent) -> bool:
+        """Handle one event; return whether its trial left ``running``."""
         # Only running trials change; reports from an attempt already
         # stopped, failed or completed are dropped.
         trial = self.state.trials.get(event.trial_id)
         if trial is None or trial.status != "running":
-            return
+            return False
         if event.kind == "metric":
             self._handle_metric(trial, event)
         elif event.kind == "completed":
             self._handle_completed(trial)
         elif event.kind == "failed":
             self._handle_failed(trial, event.reason or "unknown")
+        return trial.status != "running"
 
     # -- main loop ---------------------------------------------------------
 
@@ -405,11 +413,13 @@ class _Coordinator:
             self._set_job_status("running")
         # Retries launch first and a new trial is refused only when the
         # budget is spent or a stop was requested, so a fill that leaves
-        # nothing running leaves nothing to do.
+        # nothing running leaves nothing to do.  After a fill, every slot
+        # is busy or nothing can launch; only a trial leaving ``running``
+        # (which may queue a retry) changes that, so only then fill again.
         running = self._fill_slots()
         while running:
-            self._handle(self.events.get())
-            running = self._fill_slots()
+            if self._handle(self.events.get()):
+                running = self._fill_slots()
         self._set_job_status("completed")
         return self.state
 

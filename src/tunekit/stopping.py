@@ -4,12 +4,20 @@ A running trial is compared, at its latest reported iteration, against
 the median of the fully completed trials' values at that iteration.  The
 rule stays inactive until enough trials have completed and until the
 running trial has passed a dynamically chosen warm-up iteration.
+
+The rule runs on every metric report, so :class:`CompletedCurves` keeps
+what it reuses between reports: the activation threshold, recomputed only
+after a completion, and the completed values per iteration already asked
+about, extended by each new completion instead of gathered again.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Literal
 
 import numpy as np
@@ -17,6 +25,7 @@ import numpy as np
 __all__ = [
     "MissingPointError",
     "MetricCurve",
+    "CompletedCurves",
     "StopDecision",
     "QUORUM",
     "activation_threshold",
@@ -31,6 +40,8 @@ _ACTIVATION_FRACTION = 0.25
 Verdict = Literal["continue", "stop"]
 Reason = Literal["below_activation", "no_quorum", "worse_than_median", "not_worse"]
 Goal = Literal["minimize", "maximize"]
+
+_ITERATION = itemgetter(0)
 
 
 class MissingPointError(ValueError):
@@ -56,21 +67,15 @@ class MetricCurve:
 
     def value_at(self, iteration: int) -> float | None:
         """Exact value at ``iteration``, or None if not reported."""
-        for r, v in self.points:
-            if r == iteration:
-                return v
-            if r > iteration:
-                break
+        i = bisect_left(self.points, iteration, key=_ITERATION)
+        if i < len(self.points) and self.points[i][0] == iteration:
+            return self.points[i][1]
         return None
 
     def value_at_or_before(self, iteration: int) -> float | None:
         """Latest value reported at or before ``iteration``, if any."""
-        latest = None
-        for r, v in self.points:
-            if r > iteration:
-                break
-            latest = v
-        return latest
+        i = bisect_right(self.points, iteration, key=_ITERATION)
+        return self.points[i - 1][1] if i else None
 
     @property
     def final_iteration(self) -> int | None:
@@ -112,7 +117,48 @@ def activation_threshold(completed: list[MetricCurve]) -> float:
     return max(1, math.floor(_ACTIVATION_FRACTION * median_duration))
 
 
-def median_rule(running: MetricCurve, completed: list[MetricCurve],
+class CompletedCurves:
+    """The curves of completed trials, as the median rule reads them.
+
+    Curves must not change once added.  The activation threshold is
+    recomputed only after a completion, and the contributions at an
+    iteration are gathered once, at the first question about it; each
+    later :meth:`add` appends its curve's value to every list kept.
+    """
+
+    def __init__(self, curves: Iterable[MetricCurve] = ()) -> None:
+        self._curves = list(curves)
+        self._threshold: float | None = None
+        self._contributions: dict[int, list[float]] = {}
+
+    def add(self, curve: MetricCurve) -> None:
+        """Take in the curve of a trial that has just completed."""
+        self._curves.append(curve)
+        self._threshold = None
+        for r, values in self._contributions.items():
+            v = curve.value_at_or_before(r)
+            if v is not None:
+                values.append(v)
+
+    def threshold(self) -> float:
+        """:func:`activation_threshold` of the curves added so far."""
+        if self._threshold is None:
+            self._threshold = activation_threshold(self._curves)
+        return self._threshold
+
+    def contributions(self, r: int) -> list[float]:
+        """Each curve's latest value at or before ``r``, where it has one."""
+        values = self._contributions.get(r)
+        if values is None:
+            values = self._contributions[r] = [
+                v for c in self._curves
+                if (v := c.value_at_or_before(r)) is not None
+            ]
+        return values
+
+
+def median_rule(running: MetricCurve,
+                completed: CompletedCurves | list[MetricCurve],
                 r: int, goal: Goal = "minimize") -> StopDecision:
     """Decide whether a running trial should stop at iteration ``r``.
 
@@ -120,7 +166,9 @@ def median_rule(running: MetricCurve, completed: list[MetricCurve],
     latest earlier value; curves with nothing at or before ``r`` are
     excluded.  The decision needs ``QUORUM`` contributing curves, stops
     only on a strictly worse-than-median value, and never fires below
-    the activation threshold.
+    the activation threshold.  ``completed`` is a :class:`CompletedCurves`,
+    which keeps its work for the next call, or a plain list of curves,
+    which is wrapped in a fresh one.
 
     Raises
     ------
@@ -132,12 +180,11 @@ def median_rule(running: MetricCurve, completed: list[MetricCurve],
         raise MissingPointError(
             f"trial {running.trial_id!r} has no value at iteration {r}"
         )
-    if r < activation_threshold(completed):
+    if not isinstance(completed, CompletedCurves):
+        completed = CompletedCurves(completed)
+    if r < completed.threshold():
         return StopDecision("continue", "below_activation")
-    contributions = [
-        v for c in completed
-        if (v := c.value_at_or_before(r)) is not None
-    ]
+    contributions = completed.contributions(r)
     if len(contributions) < QUORUM:
         return StopDecision("continue", "no_quorum")
     median = float(np.median(contributions))

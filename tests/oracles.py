@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from tunekit.stopping import MetricCurve, StopDecision
 from tunekit.surrogate import GpHyperParams
 
 
@@ -94,3 +95,42 @@ def random_theta(rng: np.random.Generator, width: int) -> GpHyperParams:
         warp_a=np.exp(rng.uniform(-0.8, 0.8, size=width)),
         warp_b=np.exp(rng.uniform(-0.8, 0.8, size=width)),
     )
+
+
+def oracle_value_at_or_before(curve: MetricCurve, iteration: int) -> float | None:
+    """Latest value at or before ``iteration``, by a scan from the start."""
+    latest = None
+    for r, v in curve.points:
+        if r > iteration:
+            break
+        latest = v
+    return latest
+
+
+def oracle_median_rule(running: MetricCurve, completed: list[MetricCurve],
+                       r: int, goal: str = "minimize",
+                       quorum: int = 4) -> StopDecision:
+    """The median rule recomputed from every completed curve on each call."""
+    running_value = None
+    for it, v in running.points:
+        if it == r:
+            running_value = v
+    if running_value is None:
+        raise ValueError(f"no running value at iteration {r}")
+    durations = [c.points[-1][0] for c in completed if c.points]
+    threshold = math.inf
+    if len(durations) >= quorum:
+        threshold = max(1, math.floor(0.25 * float(np.median(durations))))
+    if r < threshold:
+        return StopDecision("continue", "below_activation")
+    contributions = [
+        v for c in completed
+        if (v := oracle_value_at_or_before(c, r)) is not None
+    ]
+    if len(contributions) < quorum:
+        return StopDecision("continue", "no_quorum")
+    median = float(np.median(contributions))
+    worse = running_value > median if goal == "minimize" else running_value < median
+    if worse:
+        return StopDecision("stop", "worse_than_median")
+    return StopDecision("continue", "not_worse")

@@ -196,6 +196,56 @@ class TestBuiltinExecutor:
         assert all(e.kind == "metric" for e in sink.events)
         assert len(sink.events) < 200
 
+    def test_stop_reaches_a_retry_launched_before_the_first_attempt_returned(
+            self):
+        spec = ExecutorSpec(kind="builtin", benchmark="branin",
+                            iterations=200, delay=0.02)
+        # One worker: the retry runs only once the first attempt returned.
+        executor = BuiltinExecutor(spec, "loss", 1)
+        failed, gate = threading.Event(), threading.Event()
+
+        def first_sink(event) -> None:
+            if event.kind == "failed":
+                failed.set()
+                gate.wait(5.0)
+
+        retry = Collector()
+        try:
+            executor.launch("trial-0001", Configuration({}), 0, first_sink)
+            assert failed.wait(5.0)
+            executor.launch("trial-0001", BRANIN_CONFIG, 1, retry)
+            gate.set()
+            deadline = time.monotonic() + 5.0
+            while not retry.metrics() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert retry.metrics(), "the retry never ran"
+            executor.request_stop("trial-0001")
+        finally:
+            executor.shutdown()
+        assert not retry.terminal.is_set()
+        assert len(retry.events) < 200
+
+    def test_flags_live_only_while_an_attempt_runs(self):
+        spec = ExecutorSpec(kind="builtin", benchmark="branin", iterations=3)
+        executor = BuiltinExecutor(spec, "loss", 2)
+        sinks = [Collector(), Collector()]
+        try:
+            for i, sink in enumerate(sinks):
+                executor.launch(f"trial-{i + 1:04d}", BRANIN_CONFIG, i, sink)
+            for sink in sinks:
+                sink.wait()
+            deadline = time.monotonic() + 5.0
+            while executor._stops._flags and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert executor._stops._flags == {}
+            # A stop after the trial finished, or for a trial never
+            # launched, creates no flag.
+            executor.request_stop("trial-0001")
+            executor.request_stop("trial-0099")
+            assert executor._stops._flags == {}
+        finally:
+            executor.shutdown()
+
     def test_evaluation_error_reports_failure(self):
         spec = ExecutorSpec(kind="builtin", benchmark="branin")
         sink = self.run_one(spec, config=Configuration({}))

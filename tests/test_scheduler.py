@@ -45,7 +45,7 @@ from tunekit.space import (
     sample_random,
 )
 from tunekit.sobol import scrambled_sobol_points
-from tunekit.stopping import MetricCurve
+from tunekit.stopping import QUORUM, MetricCurve
 from tunekit.surrogate import CholeskyFailure
 
 BRANIN_SPACE = SearchSpace([
@@ -154,6 +154,29 @@ class CountingExecutor:
 
     def shutdown(self) -> None:
         self.inner.shutdown()
+
+
+class ScriptedExecutor:
+    """Emits one fixed curve and a completion inside each launch."""
+
+    def __init__(self, values: list[float]):
+        self.values = values
+        self.stops: list[str] = []
+
+    @property
+    def spec(self) -> ExecutorSpec:
+        return FAST_BRANIN
+
+    def launch(self, trial_id, config, seed, emit) -> None:
+        for r, value in enumerate(self.values, start=1):
+            emit(TrialEvent("metric", trial_id, "loss", r, value))
+        emit(TrialEvent("completed", trial_id))
+
+    def request_stop(self, trial_id) -> None:
+        self.stops.append(trial_id)
+
+    def shutdown(self) -> None:
+        pass
 
 
 class FaultyStore(JobStore):
@@ -724,6 +747,55 @@ class TestRunJob:
         assert state.terminal_count == 12
         assert store.status_reads <= len(state.trials) + 1
 
+    def test_slots_refilled_only_when_a_trial_leaves_running(
+            self, tmp_path, monkeypatch):
+        reads = []
+        running_ids = TuningJobState.running_ids.fget
+
+        def counted(state):
+            reads.append(1)
+            return running_ids(state)
+
+        monkeypatch.setattr(TuningJobState, "running_ids", property(counted))
+        curve = get_benchmark("curve-sim")
+        spec = ExecutorSpec(kind="builtin", benchmark="curve-sim",
+                            iterations=30)
+        config = make_config(space=curve.space, max_trials=40, max_parallel=2,
+                             early_stopping="median", seed=29)
+        executor = FlakyExecutor(make_executor(spec, "loss", 2),
+                                 {"trial-0003": 1, "trial-0010": 2})
+        state = run_to_completion(tmp_path / "s", config, executor=executor)
+        executor.shutdown()
+        assert state.terminal_count == 40
+        assert state.count("early_stopped") >= 1
+        store = JobStore(tmp_path / "s")
+        types = [e["type"] for e in store.read_events(config.job_id)]
+        store.close()
+        left_running = sum(types.count(t) for t in (
+            "trial_completed", "trial_stopped", "trial_failed"))
+        assert types.count("trial_failed") == 3
+        assert len(reads) <= left_running + 2
+        assert types.count("metric_reported") > 2 * left_running
+
+    def test_executor_holds_no_stop_flags_after_the_job(self, tmp_path):
+        curve = get_benchmark("curve-sim")
+        spec = ExecutorSpec(kind="builtin", benchmark="curve-sim",
+                            iterations=30)
+        config = make_config(space=curve.space, max_trials=16, max_parallel=2,
+                             early_stopping="median", seed=29)
+        executor = make_executor(spec, "loss", 2)
+        try:
+            state = run_to_completion(tmp_path / "s", config,
+                                      executor=executor)
+            # A stopped attempt returns at its next check of the flag.
+            deadline = time.monotonic() + 5.0
+            while executor._stops._flags and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert executor._stops._flags == {}
+        finally:
+            executor.shutdown()
+        assert state.count("early_stopped") >= 1
+
     def test_stop_inside_first_launch_fills_no_second_slot(self, tmp_path):
         spec = ExecutorSpec(kind="builtin", benchmark="branin",
                             iterations=3, delay=0.02)
@@ -954,6 +1026,34 @@ class TestResume:
         assert events[2]["terminal"] is True
         assert trial.finished == events[2]["ts"]
         assert state.count("completed") == 1 and state.terminal_count == 2
+
+    def test_median_rule_sees_completed_curves_of_the_journal(self, tmp_path):
+        # QUORUM trials completed before the crash, all at 0.1 over 8
+        # iterations, so the rule is active from iteration 2 on.
+        config = make_config(max_trials=QUORUM + 1, early_stopping="median")
+        store = JobStore(tmp_path / "s")
+        store.create_job(config, FAST_BRANIN)
+        cfg = Configuration({"x1": 1.0, "x2": 2.0})
+        for i in range(1, QUORUM + 1):
+            tid = f"trial-{i:04d}"
+            store.append_event(config.job_id, {
+                "type": "trial_launched", "trial_id": tid, "attempt": 1,
+                "config": dict(cfg.values),
+                "encoded": [float(v) for v in encode(cfg, config.space)]})
+            for r in range(1, 9):
+                store.append_event(config.job_id, {
+                    "type": "metric_reported", "trial_id": tid,
+                    "iteration": r, "value": 0.1})
+            store.append_event(config.job_id, {
+                "type": "trial_completed", "trial_id": tid,
+                "final_value": 0.1})
+        store.close()
+        executor = ScriptedExecutor([5.0] * 8)
+        state = run_to_completion(tmp_path / "s", config, executor=executor)
+        worse = state.trials[f"trial-{QUORUM + 1:04d}"]
+        assert worse.status == "early_stopped"
+        assert worse.curve.points == [(1, 5.0), (2, 5.0)]
+        assert executor.stops == [worse.trial_id]
 
 
 # --- the hyperparameter chain across a crash -------------------------------

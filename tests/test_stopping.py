@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_median_rule, oracle_value_at_or_before
 from tunekit.stopping import (
     QUORUM,
+    CompletedCurves,
     MetricCurve,
     MissingPointError,
     activation_threshold,
@@ -184,3 +186,62 @@ class TestMedianRule:
         a = median_rule(flat("r", running_value, 10), completed, 10)
         b = median_rule(flat("r", running_value * scale + shift, 10), mapped, 10)
         assert a.verdict == b.verdict
+
+
+# --- the incremental rule against the linear-scan oracle -------------------
+
+# A few repeated levels give ties and even-count medians between equal
+# values; NaN must poison a median exactly as np.median does.
+_values = st.one_of(st.floats(min_value=-3, max_value=3),
+                    st.sampled_from([0.0, 0.5, 1.0, math.nan]))
+
+
+@st.composite
+def curves(draw, min_size: int = 0) -> MetricCurve:
+    """Curves of random length, dense (gap 1) or sparse (larger gaps)."""
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=4),
+                         min_size=min_size, max_size=12))
+    c = MetricCurve("c")
+    iteration = 0
+    for gap in gaps:
+        iteration += gap
+        c.append(iteration, draw(_values))
+    return c
+
+
+class TestAgainstOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(c=curves(), probe=st.integers(min_value=0, max_value=40))
+    def test_lookups(self, c, probe):
+        exact = dict(c.points).get(probe)
+        got = c.value_at(probe)
+        assert (got is None and exact is None) or got is exact
+        got = c.value_at_or_before(probe)
+        expected = oracle_value_at_or_before(c, probe)
+        assert (got is None and expected is None) or got is expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        initial=st.lists(curves(), max_size=8),
+        steps=st.lists(st.one_of(
+            st.tuples(st.just("complete"), curves()),
+            st.tuples(st.just("query"), curves(min_size=1),
+                      st.integers(min_value=0, max_value=100)),
+        ), max_size=40),
+        goal=st.sampled_from(["minimize", "maximize"]),
+    )
+    def test_completions_interleaved_with_queries(self, initial, steps, goal):
+        # One object lives through the whole sequence, so a query after a
+        # completion reads lists kept from before it.
+        completed = CompletedCurves(initial)
+        so_far = list(initial)
+        for step in steps:
+            if step[0] == "complete":
+                completed.add(step[1])
+                so_far.append(step[1])
+                continue
+            _, running, pick = step
+            r = running.points[pick % len(running.points)][0]
+            expected = oracle_median_rule(running, so_far, r, goal, QUORUM)
+            assert median_rule(running, completed, r, goal) == expected
+            assert median_rule(running, list(so_far), r, goal) == expected
