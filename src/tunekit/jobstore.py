@@ -3,8 +3,8 @@
 Layout per job under the store root::
 
     <root>/<job_id>/job.json            config + coarse status (atomic rewrite)
-    <root>/<job_id>/trials/<id>.json    per-trial snapshot at status changes
     <root>/<job_id>/events.log          append-only JSON-lines event journal
+    <root>/<job_id>/trials/             created empty; no snapshots are written
 
 The event journal is the source of truth.  :func:`apply_event` is the
 only code that changes job state in response to an event: the coordinator
@@ -14,9 +14,17 @@ includes the hyperparameter chain: a model-phase ``trial_launched`` carries
 ``"proposal": {"log_theta": [...]}``, where the next model proposal's chain
 starts.  job.json contributes only the configuration and a requested
 ``stopping``.  Files other than the journal are written to a uniquely
-named temp file and renamed, so readers never observe them half-written.  A torn final
-line in events.log (a crash mid-append) is skipped with a warning;
-corruption anywhere else is an error.
+named temp file and renamed, so readers never observe them half-written.
+
+Durability is group-committed.  :meth:`JobStore.append_event` writes and
+flushes each line, so readers and a crashed process see every event, and
+:meth:`JobStore.sync` fsyncs whatever was appended since the last sync.
+The coordinator syncs before anything outside it depends on the journal
+(a launch, a stop request, a job.json status) and before it waits for
+events, so after a power loss the journal is a prefix that still holds
+every launch, stop and status change that took effect.  A torn final
+line in events.log (a crash mid-append) is skipped with a warning, and
+dropped before the next append; corruption anywhere else is an error.
 """
 
 from __future__ import annotations
@@ -94,6 +102,41 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
         raise
 
 
+def _end_on_line_boundary(job_id: str, path: Path) -> None:
+    """Make the journal end with a newline before anything is appended.
+
+    A crash mid-append leaves a fragment after the last newline.  A
+    fragment that parses was replayed by :meth:`JobStore.read_events`, so
+    it only gets its newline; any other is truncated away with a warning,
+    so the next line does not turn it into corruption mid-journal.
+    """
+    try:
+        fh = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with fh:
+        start = fh.seek(0, os.SEEK_END)
+        tail = b""
+        while start and b"\n" not in tail:
+            step = min(start, 4096)
+            start -= step
+            fh.seek(start)
+            tail = fh.read(step) + tail
+        cut = tail.rfind(b"\n") + 1
+        fragment = tail[cut:]
+        if not fragment:
+            return
+        try:
+            json.loads(fragment)
+        except ValueError:
+            logger.warning("job %s: dropping a torn journal line of %d bytes "
+                           "before appending", job_id, len(fragment))
+            fh.truncate(start + cut)
+        else:
+            fh.seek(0, os.SEEK_END)
+            fh.write(b"\n")
+
+
 class JobStore:
     """Single-writer persistence rooted at a directory.
 
@@ -105,6 +148,8 @@ class JobStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._event_handles: dict[str, object] = {}
+        # Jobs with journal lines appended since their last fsync.
+        self._unsynced: set[str] = set()
 
     # -- paths -------------------------------------------------------------
 
@@ -167,32 +212,60 @@ class JobStore:
     # -- events ------------------------------------------------------------
 
     def append_event(self, job_id: str, event: dict) -> None:
-        """Append one journal line and flush it to disk before returning."""
+        """Append one journal line and flush it; :meth:`sync` makes it durable.
+
+        Once flushed, the line is visible to readers and survives a crash
+        of this process, but not a power loss until the next sync.
+        """
         if event.get("type") not in EVENT_TYPES:
             raise ValueError(f"unknown event type {event.get('type')!r}")
         handle = self._event_handles.get(job_id)
         if handle is None:
             if not self.job_exists(job_id):
                 raise NotFoundError(f"job {job_id!r} not found under {self.root}")
+            path = self._events_path(job_id)
             try:
-                handle = open(self._events_path(job_id), "a", encoding="utf-8")
+                _end_on_line_boundary(job_id, path)
+                handle = open(path, "a", encoding="utf-8")
             except OSError as exc:
                 raise StoreError(f"cannot open events.log: {exc}") from exc
             self._event_handles[job_id] = handle
+        self._unsynced.add(job_id)
         try:
             handle.write(json.dumps(event, separators=(",", ":")) + "\n")
             handle.flush()
-            os.fsync(handle.fileno())
         except OSError as exc:
             raise StoreError(f"cannot append event: {exc}") from exc
 
+    def sync(self, job_id: str) -> None:
+        """fsync the journal if anything was appended since the last sync."""
+        if job_id not in self._unsynced:
+            return
+        try:
+            os.fsync(self._event_handles[job_id].fileno())
+        except OSError as exc:
+            raise StoreError(f"cannot sync events.log: {exc}") from exc
+        self._unsynced.discard(job_id)
+
     def close(self) -> None:
+        """Sync every journal with pending lines, then close them all.
+
+        A job run by the coordinator leaves lines pending only when it
+        ended early, so a failed sync is logged rather than raised over
+        the error being handled.
+        """
+        for job_id in list(self._unsynced):
+            try:
+                self.sync(job_id)
+            except StoreError as exc:
+                logger.warning("job %s: %s", job_id, exc)
         for handle in self._event_handles.values():
             try:
                 handle.close()
             except OSError:
                 pass
         self._event_handles.clear()
+        self._unsynced.clear()
 
     def read_events(self, job_id: str) -> list[dict]:
         """All parseable journal entries, tolerating a torn final line."""
@@ -226,6 +299,8 @@ class JobStore:
     # -- trial snapshots ---------------------------------------------------
 
     def write_trial(self, job_id: str, record: TrialRecord) -> None:
+        """Write an atomic per-trial snapshot.  Jobs no longer call this;
+        it stays only because ``bench/spans.py`` wraps it."""
         path = self._trials_dir(job_id) / f"{record.trial_id}.json"
         try:
             path.parent.mkdir(exist_ok=True)

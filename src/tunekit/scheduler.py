@@ -15,6 +15,13 @@ decide what happens: each transition is journaled first and then applied
 through :func:`~tunekit.jobstore.apply_event`, the transition function
 replay uses, so a crash at any event boundary is recoverable by replay.
 
+Every event is fsync'd before anything outside the coordinator depends on
+it, and before the coordinator waits: the journal is synced before each
+launch, each stop request and each job.json status write, and before
+blocking on an empty event queue.  A sync therefore commits whatever
+piled up while the coordinator was busy, and a failed sync aborts the job
+like a failed append.
+
 Model proposals continue one slice-sampling chain over the GP
 hyperparameters.  A job's first model proposal, and any whose state holds
 no chain, runs the full schedule (300 steps, 250 burn-in, thinning 5)
@@ -262,16 +269,16 @@ class _Coordinator:
     # -- recording (store failures abort the job) ------------------------
 
     def _record(self, event: dict) -> None:
-        """Journal ``event``, apply it to the state, snapshot its trial."""
+        """Journal ``event`` and apply it to the state."""
         event.setdefault("ts", time.time())
-        job_id = self.config.job_id
-        self._write(self.store.append_event, job_id, event)
+        self._write(self.store.append_event, self.config.job_id, event)
         apply_event(self.config, self.state, event)
         if event["type"] == "trial_completed":
             self.completed.add(self.state.trials[event["trial_id"]].curve)
-        if "trial_id" in event and event["type"] != "metric_reported":
-            self._write(self.store.write_trial, job_id,
-                        self.state.trials[event["trial_id"]])
+
+    def _sync(self) -> None:
+        """Make every journaled event durable; called before others see it."""
+        self._write(self.store.sync, self.config.job_id)
 
     def _write(self, store_method, *args) -> None:
         try:
@@ -289,6 +296,7 @@ class _Coordinator:
 
     def _set_job_status(self, status: str) -> None:
         self._record({"type": "job_status_changed", "status": status})
+        self._sync()
         self._write(self.store.set_status, self.config.job_id, status)
 
     # -- launching ---------------------------------------------------------
@@ -304,6 +312,7 @@ class _Coordinator:
         if log_theta is not None:
             event["proposal"] = {"log_theta": [float(v) for v in log_theta]}
         self._record(event)
+        self._sync()
         executor_seed = _derive_seed(self.config.seed, _SEED_EXECUTOR,
                                      seed_index, attempt)
         self.executor.launch(trial_id, candidate, executor_seed,
@@ -367,6 +376,7 @@ class _Coordinator:
             "type": "trial_stopped", "trial_id": trial.trial_id,
             "final_value": float(trial.curve.best_value(config.objective.goal)),
         })
+        self._sync()
         self.executor.request_stop(trial.trial_id)
 
     def _handle_completed(self, trial: TrialRecord) -> None:
@@ -402,6 +412,14 @@ class _Coordinator:
 
     # -- main loop ---------------------------------------------------------
 
+    def _next_event(self) -> TrialEvent:
+        """The next queued event; the journal is synced before waiting."""
+        try:
+            return self.events.get_nowait()
+        except queue.Empty:
+            self._sync()
+            return self.events.get()
+
     def run(self) -> TuningJobState:
         self.stop_requested = self.state.status == "stopping"
         if self.state.status == "completed":
@@ -418,7 +436,7 @@ class _Coordinator:
         # (which may queue a retry) changes that, so only then fill again.
         running = self._fill_slots()
         while running:
-            if self._handle(self.events.get()):
+            if self._handle(self._next_event()):
                 running = self._fill_slots()
         self._set_job_status("completed")
         return self.state

@@ -8,19 +8,18 @@ running trial has passed a dynamically chosen warm-up iteration.
 The rule runs on every metric report, so :class:`CompletedCurves` keeps
 what it reuses between reports: the activation threshold, recomputed only
 after a completion, and the completed values per iteration already asked
-about, extended by each new completion instead of gathered again.
+about, kept sorted and extended by each new completion instead of gathered
+again, so the median is an index.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Literal
-
-import numpy as np
 
 __all__ = [
     "MissingPointError",
@@ -103,6 +102,15 @@ class StopDecision:
         return self.verdict == "stop"
 
 
+def _sorted_median(values: list[float]) -> float:
+    """The median of a sorted, NaN-free, non-empty list, as ``np.median``
+    computes it: the middle element, or the mean of the two middle ones."""
+    mid = len(values) // 2
+    if len(values) % 2:
+        return float(values[mid])
+    return (values[mid - 1] + values[mid]) / 2
+
+
 def activation_threshold(completed: list[MetricCurve]) -> float:
     """First iteration at which the rule may fire.
 
@@ -113,7 +121,7 @@ def activation_threshold(completed: list[MetricCurve]) -> float:
     durations = [c.final_iteration for c in completed if c.final_iteration is not None]
     if len(durations) < QUORUM:
         return math.inf
-    median_duration = float(np.median(durations))
+    median_duration = _sorted_median(sorted(durations))
     return max(1, math.floor(_ACTIVATION_FRACTION * median_duration))
 
 
@@ -121,24 +129,30 @@ class CompletedCurves:
     """The curves of completed trials, as the median rule reads them.
 
     Curves must not change once added.  The activation threshold is
-    recomputed only after a completion, and the contributions at an
-    iteration are gathered once, at the first question about it; each
-    later :meth:`add` appends its curve's value to every list kept.
+    recomputed only after a completion.  The contributions at an iteration
+    are gathered once, at the first question about it, into a sorted list
+    of the non-NaN values and a count of the NaN ones; each later
+    :meth:`add` inserts its curve's value into every list kept.
     """
 
     def __init__(self, curves: Iterable[MetricCurve] = ()) -> None:
         self._curves = list(curves)
         self._threshold: float | None = None
-        self._contributions: dict[int, list[float]] = {}
+        self._sorted: dict[int, list[float]] = {}
+        self._nans: dict[int, int] = {}
 
     def add(self, curve: MetricCurve) -> None:
         """Take in the curve of a trial that has just completed."""
         self._curves.append(curve)
         self._threshold = None
-        for r, values in self._contributions.items():
+        for r, values in self._sorted.items():
             v = curve.value_at_or_before(r)
-            if v is not None:
-                values.append(v)
+            if v is None:
+                continue
+            if math.isnan(v):
+                self._nans[r] += 1
+            else:
+                insort(values, v)
 
     def threshold(self) -> float:
         """:func:`activation_threshold` of the curves added so far."""
@@ -146,15 +160,17 @@ class CompletedCurves:
             self._threshold = activation_threshold(self._curves)
         return self._threshold
 
-    def contributions(self, r: int) -> list[float]:
-        """Each curve's latest value at or before ``r``, where it has one."""
-        values = self._contributions.get(r)
+    def contributions(self, r: int) -> tuple[list[float], int]:
+        """Each curve's latest value at or before ``r``, where it has one:
+        the non-NaN values sorted, and the number of NaN ones."""
+        values = self._sorted.get(r)
         if values is None:
-            values = self._contributions[r] = [
-                v for c in self._curves
-                if (v := c.value_at_or_before(r)) is not None
-            ]
-        return values
+            found = [v for c in self._curves
+                     if (v := c.value_at_or_before(r)) is not None]
+            values = self._sorted[r] = sorted(
+                v for v in found if not math.isnan(v))
+            self._nans[r] = len(found) - len(values)
+        return values, self._nans[r]
 
 
 def median_rule(running: MetricCurve,
@@ -184,10 +200,12 @@ def median_rule(running: MetricCurve,
         completed = CompletedCurves(completed)
     if r < completed.threshold():
         return StopDecision("continue", "below_activation")
-    contributions = completed.contributions(r)
-    if len(contributions) < QUORUM:
+    values, nans = completed.contributions(r)
+    if len(values) + nans < QUORUM:
         return StopDecision("continue", "no_quorum")
-    median = float(np.median(contributions))
+    # A NaN contribution makes the median NaN, as in np.median, and no
+    # value is worse than NaN.
+    median = math.nan if nans else _sorted_median(values)
     worse = running_value > median if goal == "minimize" else running_value < median
     if worse:
         return StopDecision("stop", "worse_than_median")

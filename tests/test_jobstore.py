@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import sys
 import threading
 
@@ -21,6 +22,7 @@ from tunekit.jobstore import (
     CorruptStoreError,
     JobStore,
     NotFoundError,
+    StoreError,
     replay_events,
 )
 from tunekit.runner import ExecutorSpec
@@ -202,6 +204,104 @@ class TestJournal:
     def test_empty_journal(self, store):
         store.create_job(make_config(), EXECUTOR)
         assert store.read_events("job-a") == []
+
+    def test_append_after_torn_tail_drops_the_fragment(self, store, caplog):
+        store.create_job(make_config(), EXECUTOR)
+        store.append_event("job-a", launched("trial-0001"))
+        store.close()
+        with open(store.job_dir("job-a") / "events.log", "a") as fh:
+            fh.write('{"type": "metric_rep')  # crash mid-append
+        with caplog.at_level(logging.WARNING, logger="tunekit.jobstore"):
+            store.append_event("job-a", metric("trial-0001", 1, 2.5))
+        store.close()
+        assert store.read_events("job-a") == [launched("trial-0001"),
+                                              metric("trial-0001", 1, 2.5)]
+        assert any("dropping a torn" in r.message for r in caplog.records)
+
+    def test_append_after_unterminated_line_ends_it(self, store, caplog):
+        # A crash between a line and its newline: the line was replayed,
+        # so it stays, and the next append starts a line of its own.
+        store.create_job(make_config(), EXECUTOR)
+        with open(store.job_dir("job-a") / "events.log", "a") as fh:
+            fh.write(json.dumps(launched("trial-0001")))
+        assert store.read_events("job-a") == [launched("trial-0001")]
+        with caplog.at_level(logging.WARNING, logger="tunekit.jobstore"):
+            store.append_event("job-a", metric("trial-0001", 1, 2.5))
+        store.close()
+        assert store.read_events("job-a") == [launched("trial-0001"),
+                                              metric("trial-0001", 1, 2.5)]
+        assert not caplog.records
+
+
+class TestSync:
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real = os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        return calls
+
+    def test_append_flushes_and_sync_commits_the_batch(self, store, fsyncs):
+        store.create_job(make_config(), EXECUTOR)
+        fsyncs.clear()
+        events = [launched("trial-0001"), metric("trial-0001", 1, 3.0),
+                  completed("trial-0001", 3.0)]
+        for event in events:
+            store.append_event("job-a", event)
+        assert fsyncs == []
+        # Flushed lines are visible to another reader before any sync.
+        reader = JobStore(store.root)
+        assert reader.read_events("job-a") == events
+        reader.close()
+        store.sync("job-a")
+        store.sync("job-a")
+        assert len(fsyncs) == 1
+        store.append_event("job-a", launched("trial-0002"))
+        store.sync("job-a")
+        assert len(fsyncs) == 2
+
+    def test_sync_of_job_without_appends_is_free(self, store, fsyncs):
+        store.create_job(make_config(), EXECUTOR)
+        fsyncs.clear()
+        store.sync("job-a")
+        store.sync("never-created")
+        assert fsyncs == []
+
+    def test_close_syncs_pending_lines(self, store, fsyncs):
+        store.create_job(make_config(), EXECUTOR)
+        store.create_job(make_config(job_id="job-b"), EXECUTOR)
+        store.append_event("job-a", launched("trial-0001"))
+        store.append_event("job-b", launched("trial-0001"))
+        store.append_event("job-b", metric("trial-0001", 1, 3.0))
+        store.sync("job-b")
+        store.append_event("job-b", metric("trial-0001", 2, 2.0))
+        fsyncs.clear()
+        store.close()
+        assert len(fsyncs) == 2
+        store.close()
+        assert len(fsyncs) == 2
+
+    def test_failed_sync_raises_store_error_and_stays_pending(
+            self, store, monkeypatch):
+        store.create_job(make_config(), EXECUTOR)
+        store.append_event("job-a", launched("trial-0001"))
+        real = os.fsync
+
+        def failing(fd):
+            raise OSError(5, "injected I/O error")
+
+        monkeypatch.setattr(os, "fsync", failing)
+        with pytest.raises(StoreError):
+            store.sync("job-a")
+        calls = []
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real(fd))
+        store.sync("job-a")
+        assert len(calls) == 1
 
 
 class TestReplay:

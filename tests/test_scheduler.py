@@ -3,9 +3,13 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import queue
+import shutil
 import sys
 import threading
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -161,14 +165,19 @@ class ScriptedExecutor:
 
     def __init__(self, values: list[float]):
         self.values = values
+        self.launches: list[str] = []
         self.stops: list[str] = []
 
     @property
     def spec(self) -> ExecutorSpec:
         return FAST_BRANIN
 
+    def curve(self, trial_id: str) -> list[float]:
+        return self.values
+
     def launch(self, trial_id, config, seed, emit) -> None:
-        for r, value in enumerate(self.values, start=1):
+        self.launches.append(trial_id)
+        for r, value in enumerate(self.curve(trial_id), start=1):
             emit(TrialEvent("metric", trial_id, "loss", r, value))
         emit(TrialEvent("completed", trial_id))
 
@@ -177,6 +186,108 @@ class ScriptedExecutor:
 
     def shutdown(self) -> None:
         pass
+
+
+def scripted_curve(trial_id: str, iterations: int = 10) -> list[float]:
+    """A decreasing curve whose level depends on the trial, so that the
+    median rule stops some trials and lets others complete."""
+    level = 1 + (_trial_index(trial_id) * 7) % 5
+    return [level / r for r in range(1, iterations + 1)]
+
+
+class VaryingExecutor(ScriptedExecutor):
+    """Emits :func:`scripted_curve` and a completion inside each launch."""
+
+    def __init__(self):
+        super().__init__([])
+
+    def curve(self, trial_id: str) -> list[float]:
+        return scripted_curve(trial_id)
+
+
+class SyncCountingStore(JobStore):
+    """Counts journal lines appended and synced, and checks them at the
+    points where the journal must be durable."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.appended = 0
+        self.synced = 0
+        self.checks: list[tuple[str, bool]] = []
+
+    def append_event(self, job_id, event) -> None:
+        super().append_event(job_id, event)
+        self.appended += 1
+
+    def sync(self, job_id) -> None:
+        super().sync(job_id)
+        self.synced = self.appended
+
+    def check(self, where: str) -> None:
+        self.checks.append((where, self.synced == self.appended))
+
+    def set_status(self, job_id, status) -> None:
+        self.check("set_status")
+        super().set_status(job_id, status)
+
+
+class WriteAheadExecutor:
+    """Checks the journal at each launch and stop request, and emits the
+    scripted events of its attempts one at a time, round robin, only when
+    the coordinator waits on an empty queue (see :class:`WaitingQueue`)."""
+
+    def __init__(self, store: SyncCountingStore, fail_plan: dict[str, int]):
+        self.store = store
+        self.fail_plan = dict(fail_plan)
+        self.seen: dict[str, int] = {}
+        self.scripts: deque[tuple[str, object, deque]] = deque()
+        self.stops: list[str] = []
+
+    @property
+    def spec(self) -> ExecutorSpec:
+        return FAST_BRANIN
+
+    def launch(self, trial_id, config, seed, emit) -> None:
+        self.store.check("launch")
+        self.seen[trial_id] = n = self.seen.get(trial_id, 0) + 1
+        if n <= self.fail_plan.get(trial_id, 0):
+            events = [TrialEvent("failed", trial_id, reason="synthetic-fault")]
+        else:
+            events = [TrialEvent("metric", trial_id, "loss", r, value)
+                      for r, value in enumerate(scripted_curve(trial_id), 1)]
+            events.append(TrialEvent("completed", trial_id))
+        self.scripts.append((trial_id, emit, deque(events)))
+
+    def request_stop(self, trial_id) -> None:
+        self.store.check("request_stop")
+        self.stops.append(trial_id)
+        self.scripts = deque(s for s in self.scripts if s[0] != trial_id)
+
+    def release(self) -> None:
+        assert self.scripts, "the coordinator waits with nothing in flight"
+        script = self.scripts.popleft()
+        _, emit, events = script
+        emit(events.popleft())
+        if events:
+            self.scripts.append(script)
+
+    def shutdown(self) -> None:
+        pass
+
+
+class WaitingQueue(queue.Queue):
+    """An event queue that, when the coordinator blocks on it empty,
+    checks the journal and then lets the executor emit one event."""
+
+    def __init__(self, executor: WriteAheadExecutor):
+        super().__init__()
+        self.executor = executor
+
+    def get(self, block=True, timeout=None):
+        if block and self.empty():
+            self.executor.store.check("wait")
+            self.executor.release()
+        return super().get(block, timeout)
 
 
 class FaultyStore(JobStore):
@@ -191,6 +302,20 @@ class FaultyStore(JobStore):
             raise StoreError("injected journal fault")
         self.remaining -= 1
         super().append_event(job_id, event)
+
+
+class FailingSyncStore(JobStore):
+    """Raises StoreError from the journal sync after a fixed number of syncs."""
+
+    def __init__(self, root, fail_after: int):
+        super().__init__(root)
+        self.remaining = fail_after
+
+    def sync(self, job_id) -> None:
+        if self.remaining <= 0:
+            raise StoreError("injected sync fault")
+        self.remaining -= 1
+        super().sync(job_id)
 
 
 class StatusCountingStore(JobStore):
@@ -838,6 +963,76 @@ class TestRunJob:
         assert store.read_status(config.job_id) == "completed"
         store.close()
 
+    def test_journal_is_synced_before_anything_depends_on_it(
+            self, tmp_path, monkeypatch):
+        config = make_config(max_trials=16, max_parallel=2, retry_limit=2,
+                             early_stopping="median", seed=37)
+        store = SyncCountingStore(tmp_path / "s")
+        executor = WriteAheadExecutor(store, {"trial-0003": 1,
+                                              "trial-0009": 2})
+        monkeypatch.setattr(queue, "Queue", lambda: WaitingQueue(executor))
+        try:
+            state = run_job(config, store, executor)
+            # Nothing is left for close() to sync.
+            assert store.synced == store.appended > 0
+        finally:
+            store.close()
+        assert state.terminal_count == 16
+        assert state.count("early_stopped") >= 1
+        assert state.trials["trial-0009"].attempts == 3
+        unsynced = [where for where, ok in store.checks if not ok]
+        assert unsynced == []
+        kinds = {where for where, _ in store.checks}
+        assert kinds == {"launch", "request_stop", "set_status", "wait"}
+
+    def test_failed_sync_aborts_and_stops_running_trials(self, tmp_path,
+                                                         caplog):
+        config = make_config(max_trials=6, max_parallel=2)
+        # Syncs: the running status, trial-0001's launch, trial-0002's.
+        store = FailingSyncStore(tmp_path / "s", fail_after=2)
+        executor = VaryingExecutor()
+        with pytest.raises(JobAborted, match="injected sync fault"):
+            run_job(config, store, executor)
+        # close() logs the failed sync of the pending lines and still
+        # closes the journal.
+        with caplog.at_level(logging.WARNING, logger="tunekit.jobstore"):
+            store.close()
+        assert any("injected sync fault" in r.message for r in caplog.records)
+        assert store._event_handles == {}
+        assert executor.launches == ["trial-0001"]
+        assert executor.stops == ["trial-0001", "trial-0002"]
+        state = run_to_completion(tmp_path / "s", config,
+                                  executor=VaryingExecutor())
+        assert state.terminal_count == 6
+
+    def test_fsyncs_per_job_are_bounded_and_no_snapshots(
+            self, tmp_path, monkeypatch):
+        config = make_config(max_trials=40, max_parallel=2,
+                             early_stopping="median", seed=41)
+        journal = tmp_path / "s" / config.job_id / "events.log"
+        fsyncs = {"journal": 0, "other": 0}
+        real = os.fsync
+
+        def counting(fd):
+            is_journal = (journal.exists()
+                          and os.path.samestat(os.fstat(fd), journal.stat()))
+            fsyncs["journal" if is_journal else "other"] += 1
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        executor = VaryingExecutor()
+        state = run_to_completion(tmp_path / "s", config, executor=executor)
+        monkeypatch.undo()
+        assert state.terminal_count == 40
+        launches, stops = len(executor.launches), len(executor.stops)
+        assert stops >= 1
+        # One journal sync before each launch and each stop request, one
+        # before each of the two status writes, and one to spare.
+        assert fsyncs["journal"] <= launches + stops + 3
+        # job.json is written atomically at creation and at each status.
+        assert fsyncs["other"] == 3
+        assert list((tmp_path / "s" / config.job_id / "trials").iterdir()) == []
+
     def test_live_state_equals_replayed_journal(self, tmp_path):
         curve = get_benchmark("curve-sim")
         spec = ExecutorSpec(kind="builtin", benchmark="curve-sim",
@@ -1054,6 +1249,40 @@ class TestResume:
         assert worse.status == "early_stopped"
         assert worse.curve.points == [(1, 5.0), (2, 5.0)]
         assert executor.stops == [worse.trial_id]
+
+
+    def test_torn_journal_tail_resumes_and_reloads(self, tmp_path):
+        curve = get_benchmark("curve-sim")
+        spec = ExecutorSpec(kind="builtin", benchmark="curve-sim",
+                            iterations=10)
+        config = make_config(space=curve.space, max_trials=6,
+                             early_stopping="median", seed=43)
+        done = tmp_path / "done"
+        reference = run_to_completion(done, config, spec=spec)
+        journal = (done / config.job_id / "events.log").read_bytes()
+        ends = [i for i, byte in enumerate(journal) if byte == ord("\n")]
+        # Seeded cuts, one that keeps a whole line but not its newline,
+        # and one 15 bytes into a line.
+        rng = np.random.default_rng(5)
+        cuts = sorted({*rng.integers(1, len(journal), size=6).tolist(),
+                       ends[10], ends[20] + 16})
+        want = {tid: dict(t.config.values)
+                for tid, t in reference.trials.items()}
+        for cut in cuts:
+            root = tmp_path / f"cut-{cut}"
+            shutil.copytree(done, root)
+            with open(root / config.job_id / "events.log", "r+b") as fh:
+                fh.truncate(cut)
+            run_to_completion(root, config, spec=spec)
+            store = JobStore(root)
+            try:
+                _, _, state = store.load_job(config.job_id)
+            finally:
+                store.close()
+            assert state.status == "completed", cut
+            assert state.terminal_count == 6, cut
+            assert {tid: dict(t.config.values)
+                    for tid, t in state.trials.items()} == want, cut
 
 
 # --- the hyperparameter chain across a crash -------------------------------

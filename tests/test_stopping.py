@@ -14,6 +14,7 @@ from tunekit.stopping import (
     CompletedCurves,
     MetricCurve,
     MissingPointError,
+    _sorted_median,
     activation_threshold,
     median_rule,
 )
@@ -245,3 +246,16 @@ class TestAgainstOracle:
             expected = oracle_median_rule(running, so_far, r, goal, QUORUM)
             assert median_rule(running, completed, r, goal) == expected
             assert median_rule(running, list(so_far), r, goal) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(
+        st.floats(allow_nan=False),
+        st.sampled_from([0.0, -0.0, 0.5, math.inf, -math.inf])),
+        min_size=1, max_size=9))
+    def test_median_by_index_equals_np_median(self, values):
+        # The rule takes the median by index from the sorted contributions;
+        # it must be np.median's value, infinities and overflow included.
+        with np.errstate(all="ignore"):
+            expected = float(np.median(values))
+        got = _sorted_median(sorted(values))
+        assert (math.isnan(got) and math.isnan(expected)) or got == expected
