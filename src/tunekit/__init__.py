@@ -37,10 +37,8 @@ from .runner import (
 from .scheduler import (
     JobAborted,
     ParentNotFoundError,
-    UnknownTrialError,
     merge_warm_start,
     next_candidate,
-    on_metric_report,
     run_job,
 )
 from .sobol import DimensionUnsupportedError, scrambled_sobol_points, sobol_points

@@ -13,6 +13,7 @@ scored in one more.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +26,8 @@ from .space import Configuration, SearchSpace, decode, encode, sample_random
 # module because bench/spans.py wraps it at this lookup site.
 from .surrogate import (GpPosterior, PosteriorStack, predict_batch,  # noqa: F401
                         predict_stack, stack_posteriors)
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "AcquisitionContext",
@@ -174,7 +177,8 @@ def propose(ctx: AcquisitionContext, seed: int | np.random.SeedSequence) -> Conf
     highest acquisition value (the first, on a tie).  Candidates within
     Euclidean distance 1e-6 of a pending or evaluated design point are
     discarded; if nothing survives, the best non-colliding anchor is
-    used, and as a last resort a random non-colliding sample.
+    used, and as a last resort a random non-colliding sample; either
+    fallback logs a warning.
     Deterministic for a fixed context and seed.
     """
     if not ctx.posteriors:
@@ -201,8 +205,12 @@ def propose(ctx: AcquisitionContext, seed: int | np.random.SeedSequence) -> Conf
     for idx in order:
         snapped = encode(decode(anchors[idx], ctx.space), ctx.space)
         if _min_distance(snapped, known) >= _DUPLICATE_TOL:
+            logger.warning("every refined candidate collides with a pending "
+                           "or evaluated point; proposing the best free anchor")
             return decode(snapped, ctx.space)
 
+    logger.warning("every anchor collides with a pending or evaluated "
+                   "point; proposing a random sample")
     rng_seeds = np.random.SeedSequence(seed).spawn(_RANDOM_FALLBACK_TRIES)
     config = None
     for sub in rng_seeds:

@@ -16,19 +16,24 @@ starts.  job.json contributes only the configuration and a requested
 ``stopping``.  Files other than the journal are written to a uniquely
 named temp file and renamed, so readers never observe them half-written.
 
-Durability is group-committed.  :meth:`JobStore.append_event` writes and
-flushes each line, so readers and a crashed process see every event, and
-:meth:`JobStore.sync` fsyncs whatever was appended since the last sync.
-The coordinator syncs before anything outside it depends on the journal
-(a launch, a stop request, a job.json status) and before it waits for
-events, so after a power loss the journal is a prefix that still holds
-every launch, stop and status change that took effect.  A torn final
-line in events.log (a crash mid-append) is skipped with a warning, and
-dropped before the next append; corruption anywhere else is an error.
+Durability is group-committed.  :meth:`JobStore.append_event` encodes
+each line into a per-job buffer, and :meth:`JobStore.sync` writes the
+buffer with one write and fsyncs it.  The coordinator syncs before
+anything outside it depends on the journal (a launch, a stop request, a
+job.json status) and before it waits for events, so after a crash of
+the process or a power loss the journal is a prefix that still holds
+every launch, stop and status change that took effect; the lines since
+the last sync are lost, and resume handles that as it handles any
+crash.  Another reader sees the journal as of the last sync; the
+writing :class:`JobStore` also reads its own unsynced lines.  A torn
+final line in events.log (a crash mid-write) is skipped with a warning,
+and dropped before the next append; corruption anywhere else is an
+error.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import os
@@ -69,6 +74,11 @@ EVENT_TYPES = frozenset({
     "trial_stopped",
     "job_status_changed",
 })
+
+
+# Compact lines; one encoder, since json.dumps with non-default
+# separators builds a new one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class StoreError(RuntimeError):
@@ -141,14 +151,18 @@ class JobStore:
     """Single-writer persistence rooted at a directory.
 
     The coordinator that runs a job is the only writer for that job;
-    list/describe may read concurrently and see the last flushed state.
+    list/describe may read concurrently and see the journal as of the
+    writer's last :meth:`sync`.  The writing store's own reads also see
+    the lines it has appended but not yet synced.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._event_handles: dict[str, object] = {}
-        # Jobs with journal lines appended since their last fsync.
+        self._event_handles: dict[str, io.FileIO] = {}
+        # Encoded lines not yet written, per job.
+        self._pending: dict[str, list[str]] = {}
+        # Jobs with lines written since their last fsync.
         self._unsynced: set[str] = set()
 
     # -- paths -------------------------------------------------------------
@@ -212,33 +226,58 @@ class JobStore:
     # -- events ------------------------------------------------------------
 
     def append_event(self, job_id: str, event: dict) -> None:
-        """Append one journal line and flush it; :meth:`sync` makes it durable.
+        """Encode one journal line into the job's buffer.
 
-        Once flushed, the line is visible to readers and survives a crash
-        of this process, but not a power loss until the next sync.
+        :meth:`sync` writes and fsyncs the buffer.  Until then the line is
+        visible only to this store's reads, and a crash of this process
+        loses it.
         """
         if event.get("type") not in EVENT_TYPES:
             raise ValueError(f"unknown event type {event.get('type')!r}")
-        handle = self._event_handles.get(job_id)
-        if handle is None:
-            if not self.job_exists(job_id):
-                raise NotFoundError(f"job {job_id!r} not found under {self.root}")
-            path = self._events_path(job_id)
-            try:
-                _end_on_line_boundary(job_id, path)
-                handle = open(path, "a", encoding="utf-8")
-            except OSError as exc:
-                raise StoreError(f"cannot open events.log: {exc}") from exc
-            self._event_handles[job_id] = handle
-        self._unsynced.add(job_id)
+        pending = self._pending.get(job_id)
+        if pending is None:
+            if job_id not in self._event_handles:
+                self._open_journal(job_id)
+            pending = self._pending[job_id] = []
+        pending.append(_ENCODER.encode(event) + "\n")
+
+    def _open_journal(self, job_id: str) -> None:
+        if not self.job_exists(job_id):
+            raise NotFoundError(f"job {job_id!r} not found under {self.root}")
+        path = self._events_path(job_id)
         try:
-            handle.write(json.dumps(event, separators=(",", ":")) + "\n")
-            handle.flush()
+            _end_on_line_boundary(job_id, path)
+            self._event_handles[job_id] = open(path, "ab", buffering=0)
         except OSError as exc:
-            raise StoreError(f"cannot append event: {exc}") from exc
+            raise StoreError(f"cannot open events.log: {exc}") from exc
 
     def sync(self, job_id: str) -> None:
-        """fsync the journal if anything was appended since the last sync."""
+        """Write the job's buffered lines with one write and fsync them.
+
+        A failed write truncates the journal back to its earlier length
+        and keeps the lines buffered; a failed fsync keeps the written
+        lines marked for the next sync.  Either way a retry journals
+        every line once.
+        """
+        pending = self._pending.get(job_id)
+        if pending:
+            handle = self._event_handles[job_id]
+            data = memoryview("".join(pending).encode("utf-8"))
+            start = handle.tell()
+            try:
+                while data:
+                    data = data[handle.write(data):]
+            except OSError as exc:
+                try:
+                    handle.truncate(start)
+                except OSError:
+                    # Part of the batch stays on disk, so the batch is
+                    # dropped; the next append reopens the journal and
+                    # drops a torn tail.
+                    self._drop_journal(job_id)
+                raise StoreError(f"cannot write events.log: {exc}") from exc
+            self._unsynced.add(job_id)
+            pending.clear()
         if job_id not in self._unsynced:
             return
         try:
@@ -247,28 +286,41 @@ class JobStore:
             raise StoreError(f"cannot sync events.log: {exc}") from exc
         self._unsynced.discard(job_id)
 
-    def close(self) -> None:
-        """Sync every journal with pending lines, then close them all.
+    def close_job(self, job_id: str) -> None:
+        """Sync the job's journal, then close its handle.
 
         A job run by the coordinator leaves lines pending only when it
         ended early, so a failed sync is logged rather than raised over
-        the error being handled.
+        the error being handled; the lines it could not write are lost.
         """
-        for job_id in list(self._unsynced):
-            try:
-                self.sync(job_id)
-            except StoreError as exc:
-                logger.warning("job %s: %s", job_id, exc)
-        for handle in self._event_handles.values():
-            try:
-                handle.close()
-            except OSError:
-                pass
-        self._event_handles.clear()
-        self._unsynced.clear()
+        if job_id not in self._event_handles:
+            return
+        try:
+            self.sync(job_id)
+        except StoreError as exc:
+            logger.warning("job %s: %s", job_id, exc)
+        if job_id in self._event_handles:
+            self._drop_journal(job_id)
+
+    def _drop_journal(self, job_id: str) -> None:
+        handle = self._event_handles.pop(job_id)
+        self._pending.pop(job_id, None)
+        self._unsynced.discard(job_id)
+        try:
+            handle.close()
+        except OSError:
+            pass
+
+    def close(self) -> None:
+        """:meth:`close_job` every job with an open journal."""
+        for job_id in list(self._event_handles):
+            self.close_job(job_id)
 
     def read_events(self, job_id: str) -> list[dict]:
-        """All parseable journal entries, tolerating a torn final line."""
+        """All parseable journal entries, tolerating a torn final line.
+
+        The entries are the journal's, then this store's unsynced ones.
+        """
         path = self._events_path(job_id)
         if not path.is_file():
             if not self.job_exists(job_id):
@@ -278,9 +330,23 @@ class JobStore:
             raw = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise StoreError(f"cannot read events.log: {exc}") from exc
+        raw += "".join(self._pending.get(job_id, ()))
+        if not raw:
+            return []
+        if raw.endswith("\n"):
+            raw = raw[:-1]
+        # One parse of the whole journal as an array, accepted only when it
+        # holds one object per line; otherwise the line-by-line loop finds
+        # the torn or corrupt line.
+        try:
+            events = json.loads("[" + raw.replace("\n", ",\n") + "]")
+        except ValueError:
+            pass
+        else:
+            if (len(events) == raw.count("\n") + 1
+                    and all(type(event) is dict for event in events)):
+                return events
         lines = raw.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
         events = []
         for index, line in enumerate(lines):
             try:

@@ -15,12 +15,12 @@ decide what happens: each transition is journaled first and then applied
 through :func:`~tunekit.jobstore.apply_event`, the transition function
 replay uses, so a crash at any event boundary is recoverable by replay.
 
-Every event is fsync'd before anything outside the coordinator depends on
-it, and before the coordinator waits: the journal is synced before each
-launch, each stop request and each job.json status write, and before
-blocking on an empty event queue.  A sync therefore commits whatever
-piled up while the coordinator was busy, and a failed sync aborts the job
-like a failed append.
+Every event is written and fsync'd before anything outside the
+coordinator depends on it, and before the coordinator waits: the journal
+is synced before each launch, each stop request and each job.json status
+write, and before blocking on an empty event queue.  A sync therefore
+writes and commits whatever piled up while the coordinator was busy, and
+a failed sync aborts the job like a failed append.
 
 Model proposals continue one slice-sampling chain over the GP
 hyperparameters.  A job's first model proposal, and any whose state holds
@@ -70,10 +70,8 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "JobAborted",
     "ParentNotFoundError",
-    "UnknownTrialError",
     "initial_design_size",
     "next_candidate",
-    "on_metric_report",
     "merge_warm_start",
     "run_job",
 ]
@@ -96,10 +94,6 @@ class JobAborted(RuntimeError):
 
 class ParentNotFoundError(RuntimeError):
     """A warm-start parent job id does not exist in the store."""
-
-
-class UnknownTrialError(KeyError):
-    """A metric report referenced a trial that was never launched."""
 
 
 def _derive_seed(*parts: int) -> int:
@@ -195,31 +189,6 @@ def _median_stops(completed: CompletedCurves, config: TuningJobConfig,
     decision = median_rule(trial.curve, completed, iteration,
                            config.objective.goal)
     return decision.should_stop
-
-
-def on_metric_report(state: TuningJobState, config: TuningJobConfig,
-                     trial_id: str, iteration: int, value: float) -> bool:
-    """Record one metric report; return True when the trial should stop.
-
-    Appends to the trial's curve and applies the median rule when it is
-    enabled.  Reports for trials already terminal are ignored (returns
-    False).
-
-    Raises
-    ------
-    UnknownTrialError
-        If the trial was never launched.
-    """
-    trial = state.trials.get(trial_id)
-    if trial is None:
-        raise UnknownTrialError(trial_id)
-    if trial.status != "running":
-        return False
-    apply_event(config, state, {"type": "metric_reported", "trial_id": trial_id,
-                                "iteration": iteration, "value": value})
-    completed = CompletedCurves(
-        t.curve for t in state.trials.values() if t.status == "completed")
-    return _median_stops(completed, config, trial, iteration)
 
 
 def merge_warm_start(parents: Iterable[tuple[TuningJobConfig, Iterable[TrialRecord]]],
@@ -450,6 +419,8 @@ def run_job(config: TuningJobConfig, store: JobStore,
     from its journal, using the persisted configuration.  Exactly
     ``max_trials`` trials reach a terminal status unless the job is
     stopped early.  Warm-start parents are loaded from the same store.
+    When it returns or raises, the job's journal is synced and its handle
+    closed.
 
     Raises
     ------
@@ -486,4 +457,7 @@ def run_job(config: TuningJobConfig, store: JobStore,
 
     coordinator = _Coordinator(config, store, executor, state)
     coordinator.state.warm_obs = merge_warm_start(parents, config.space)
-    return coordinator.run()
+    try:
+        return coordinator.run()
+    finally:
+        store.close_job(config.job_id)

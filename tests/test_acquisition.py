@@ -7,6 +7,7 @@ representable configurations, stay deterministic per seed.
 """
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -317,6 +318,37 @@ class TestPropose:
         ctx = AcquisitionContext((post,), 0.0, (), space)
         config = propose(ctx, 0)
         assert config["n"] in (0, 1, 2)
+
+    def test_anchor_fallback_warns(self, caplog):
+        # EI ignores pending points, so pending each proposal in turn
+        # uses up the five refined candidates and then falls back to the
+        # best free anchor, which is still a fresh point.
+        base = make_context(26)
+        pending: list[tuple[float, ...]] = []
+        with caplog.at_level(logging.WARNING, logger="tunekit.acquisition"):
+            for _ in range(6):
+                ctx = AcquisitionContext(base.posteriors, base.incumbent,
+                                         tuple(pending), base.space)
+                config = propose(ctx, 0)
+                if caplog.records:
+                    break
+                pending.append(tuple(encode(config, base.space)))
+        assert [r.message for r in caplog.records] == [
+            "every refined candidate collides with a pending or evaluated "
+            "point; proposing the best free anchor"]
+        assert tuple(encode(config, base.space)) not in pending
+
+    def test_random_fallback_warns(self, caplog):
+        space = SearchSpace([integer("n", 0, 2)])
+        design = np.array([[0.0], [0.5], [1.0]])
+        post = fit_posterior(design, np.array([1.0, 0.0, 2.0]),
+                             GpHyperParams.default(1))
+        ctx = AcquisitionContext((post,), 0.0, (), space)
+        with caplog.at_level(logging.WARNING, logger="tunekit.acquisition"):
+            propose(ctx, 0)
+        assert [r.message for r in caplog.records] == [
+            "every anchor collides with a pending or evaluated point; "
+            "proposing a random sample"]
 
     def test_pending_tuple_not_mutated(self):
         pending = ((0.5, 0.5),)

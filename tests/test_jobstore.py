@@ -201,6 +201,38 @@ class TestJournal:
         with pytest.raises(CorruptStoreError):
             store.read_events("job-a")
 
+    BAD_LINES = {
+        "garbage": "garbage line",
+        "torn": '{"type": "trial_comp',
+        "two-objects": (json.dumps(metric("trial-0001", 2, 2.0)) + ","
+                        + json.dumps(metric("trial-0001", 3, 1.5))),
+    }
+
+    def _write_journal(self, store, lines):
+        store.create_job(make_config(), EXECUTOR)
+        path = store.job_dir("job-a") / "events.log"
+        path.write_text("\n".join(lines), encoding="utf-8")
+
+    @pytest.mark.parametrize("kind", sorted(BAD_LINES))
+    def test_bad_middle_line_names_its_number(self, store, kind):
+        self._write_journal(store, [json.dumps(launched("trial-0001")),
+                                    self.BAD_LINES[kind],
+                                    json.dumps(metric("trial-0001", 1, 2.5))])
+        with pytest.raises(CorruptStoreError,
+                           match="corrupt journal line 2 for job 'job-a'"):
+            store.read_events("job-a")
+
+    @pytest.mark.parametrize("kind", sorted(BAD_LINES))
+    def test_bad_final_line_is_dropped_with_a_warning(self, store, kind,
+                                                      caplog):
+        good = [launched("trial-0001"), metric("trial-0001", 1, 2.5)]
+        self._write_journal(store, [json.dumps(e) for e in good]
+                            + [self.BAD_LINES[kind]])
+        with caplog.at_level(logging.WARNING, logger="tunekit.jobstore"):
+            assert store.read_events("job-a") == good
+        assert [r.message.split(" (")[0] for r in caplog.records] == [
+            "job job-a: discarding torn final journal line"]
+
     def test_empty_journal(self, store):
         store.create_job(make_config(), EXECUTOR)
         assert store.read_events("job-a") == []
@@ -247,23 +279,29 @@ class TestSync:
         return calls
 
     def test_append_flushes_and_sync_commits_the_batch(self, store, fsyncs):
+        # Appends only buffer: another reader sees nothing and nothing is
+        # fsync'd until sync writes the batch and commits it with one fsync.
         store.create_job(make_config(), EXECUTOR)
         fsyncs.clear()
         events = [launched("trial-0001"), metric("trial-0001", 1, 3.0),
                   completed("trial-0001", 3.0)]
         for event in events:
             store.append_event("job-a", event)
-        assert fsyncs == []
-        # Flushed lines are visible to another reader before any sync.
         reader = JobStore(store.root)
-        assert reader.read_events("job-a") == events
-        reader.close()
+        assert reader.read_events("job-a") == []
+        assert fsyncs == []
+        # The writing store reads its own unsynced lines.
+        assert store.read_events("job-a") == events
         store.sync("job-a")
+        assert reader.read_events("job-a") == events
+        assert len(fsyncs) == 1
         store.sync("job-a")
         assert len(fsyncs) == 1
         store.append_event("job-a", launched("trial-0002"))
         store.sync("job-a")
         assert len(fsyncs) == 2
+        assert reader.read_events("job-a") == events + [launched("trial-0002")]
+        reader.close()
 
     def test_sync_of_job_without_appends_is_free(self, store, fsyncs):
         store.create_job(make_config(), EXECUTOR)
@@ -302,6 +340,52 @@ class TestSync:
         monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real(fd))
         store.sync("job-a")
         assert len(calls) == 1
+        store.append_event("job-a", metric("trial-0001", 1, 3.0))
+        store.sync("job-a")
+        assert journal_lines(store) == [launched("trial-0001"),
+                                        metric("trial-0001", 1, 3.0)]
+
+    def test_failed_write_truncates_and_stays_pending(self, store):
+        store.create_job(make_config(), EXECUTOR)
+        store.append_event("job-a", launched("trial-0001"))
+        store.sync("job-a")
+        store.append_event("job-a", metric("trial-0001", 1, 3.0))
+        store.append_event("job-a", metric("trial-0001", 2, 2.0))
+        real = store._event_handles["job-a"]
+        store._event_handles["job-a"] = ShortThenFailingHandle(real)
+        with pytest.raises(StoreError, match="injected"):
+            store.sync("job-a")
+        # The part of the batch that reached the file is gone again.
+        assert journal_lines(store) == [launched("trial-0001")]
+        store._event_handles["job-a"] = real
+        store.sync("job-a")
+        assert journal_lines(store) == [launched("trial-0001"),
+                                        metric("trial-0001", 1, 3.0),
+                                        metric("trial-0001", 2, 2.0)]
+
+
+class ShortThenFailingHandle:
+    """A journal handle whose first write is short and whose next fails."""
+
+    def __init__(self, real):
+        self.real = real
+        self.writes = 0
+
+    def write(self, data) -> int:
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(28, "injected: no space left on device")
+        return self.real.write(data[:10])
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
+def journal_lines(store: JobStore) -> list[dict]:
+    """The journal as written to disk, one event per line."""
+    text = (store.job_dir("job-a") / "events.log").read_text(encoding="utf-8")
+    assert text == "" or text.endswith("\n")
+    return [json.loads(line) for line in text.splitlines()]
 
 
 class TestReplay:

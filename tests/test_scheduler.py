@@ -28,14 +28,12 @@ from tunekit.runner import ExecutorSpec, TrialEvent, make_executor
 from tunekit.scheduler import (
     JobAborted,
     ParentNotFoundError,
-    UnknownTrialError,
     _derive_seed,
     _design_point,
     _trial_index,
     initial_design_size,
     merge_warm_start,
     next_candidate,
-    on_metric_report,
     run_job,
 )
 from tunekit.space import (
@@ -318,6 +316,21 @@ class FailingSyncStore(JobStore):
         super().sync(job_id)
 
 
+def open_journals(root) -> list[str]:
+    """Paths of the journals under ``root`` that this process holds open."""
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        pytest.skip("needs /proc/self/fd")
+    paths = []
+    for fd in os.listdir(fd_dir):
+        try:
+            paths.append(os.readlink(os.path.join(fd_dir, fd)))
+        except OSError:
+            continue
+    return [p for p in paths
+            if p.startswith(str(root)) and p.endswith("events.log")]
+
+
 class StatusCountingStore(JobStore):
     """Counts the coordinator's reads of the job status."""
 
@@ -538,60 +551,6 @@ class TestNextCandidate:
             next_candidate(self._warm_state(config, 6), config, seed=11)
         assert len(calls) == 10
         assert "kept 9 of 10 hyperparameter samples" in caplog.text
-
-
-# --- on_metric_report ------------------------------------------------------
-
-class TestOnMetricReport:
-    def _state_with_running(self, config):
-        state = TuningJobState()
-        trial = make_trial(1, config.space, {"x1": 0.0, "x2": 7.5},
-                           status="running", final=None)
-        state.trials[trial.trial_id] = trial
-        return state, trial
-
-    def test_unknown_trial_raises(self):
-        config = make_config()
-        state = TuningJobState()
-        with pytest.raises(UnknownTrialError):
-            on_metric_report(state, config, "trial-0099", 1, 0.5)
-
-    def test_terminal_trial_ignored(self):
-        config = make_config()
-        state, trial = self._state_with_running(config)
-        trial.status = "completed"
-        assert on_metric_report(state, config, trial.trial_id, 1, 0.5) is False
-        assert trial.curve.points == []
-
-    def test_appends_to_curve_without_stopping(self):
-        config = make_config(early_stopping="off")
-        state, trial = self._state_with_running(config)
-        assert on_metric_report(state, config, trial.trial_id, 1, 0.5) is False
-        assert on_metric_report(state, config, trial.trial_id, 2, 0.4) is False
-        assert trial.curve.value_at(2) == 0.4
-
-    def _median_fixture(self, value: float):
-        config = make_config(early_stopping="median", max_trials=10)
-        state = TuningJobState()
-        for i, level in enumerate((0.2, 0.4, 0.8, 1.0), start=1):
-            trial = make_trial(i, config.space, {"x1": 0.0, "x2": 7.5},
-                               final=level)
-            for r in range(1, 5):
-                trial.curve.append(r, level)
-            state.trials[trial.trial_id] = trial
-        runner = make_trial(5, config.space, {"x1": 1.0, "x2": 7.5},
-                            status="running", final=None)
-        state.trials[runner.trial_id] = runner
-        return state, config, on_metric_report(
-            state, config, runner.trial_id, 2, value)
-
-    def test_median_rule_stops_worse_trial(self):
-        _, _, should_stop = self._median_fixture(0.9)
-        assert should_stop is True
-
-    def test_median_rule_keeps_better_trial(self):
-        _, _, should_stop = self._median_fixture(0.3)
-        assert should_stop is False
 
 
 # --- warm-start merging ----------------------------------------------------
@@ -991,19 +950,36 @@ class TestRunJob:
         # Syncs: the running status, trial-0001's launch, trial-0002's.
         store = FailingSyncStore(tmp_path / "s", fail_after=2)
         executor = VaryingExecutor()
-        with pytest.raises(JobAborted, match="injected sync fault"):
-            run_job(config, store, executor)
-        # close() logs the failed sync of the pending lines and still
-        # closes the journal.
         with caplog.at_level(logging.WARNING, logger="tunekit.jobstore"):
-            store.close()
+            with pytest.raises(JobAborted, match="injected sync fault"):
+                run_job(config, store, executor)
+        # run_job logs the failed sync of the pending lines and still
+        # closes the journal.
         assert any("injected sync fault" in r.message for r in caplog.records)
         assert store._event_handles == {}
+        store.close()
         assert executor.launches == ["trial-0001"]
         assert executor.stops == ["trial-0001", "trial-0002"]
         state = run_to_completion(tmp_path / "s", config,
                                   executor=VaryingExecutor())
         assert state.terminal_count == 6
+
+    def test_jobs_release_their_journal_when_run_job_returns(self, tmp_path):
+        store = FaultyStore(tmp_path / "s", fail_after=10**6)
+        try:
+            for job_id in ("job-a", "job-b"):
+                run_job(make_config(job_id=job_id), store, VaryingExecutor())
+            assert open_journals(tmp_path) == []
+            store.remaining = 5
+            with pytest.raises(JobAborted):
+                run_job(make_config(job_id="job-c"), store, VaryingExecutor())
+            assert open_journals(tmp_path) == []
+        finally:
+            store.close()
+        # The aborted job's lines were written when it ended.
+        reader = JobStore(tmp_path / "s")
+        assert len(reader.read_events("job-c")) == 5
+        reader.close()
 
     def test_fsyncs_per_job_are_bounded_and_no_snapshots(
             self, tmp_path, monkeypatch):
