@@ -134,9 +134,8 @@ def cmd_describe(args: argparse.Namespace) -> int:
 def cmd_stop(args: argparse.Namespace) -> int:
     store = _store_from(args)
     try:
-        status = store.read_status(args.job_id)
-        if status in ("completed", "failed"):
-            print(f"job {args.job_id} is already {status}; nothing to stop")
+        if store.load_job(args.job_id)[2].status == "completed":
+            print(f"job {args.job_id} is already completed; nothing to stop")
             return EXIT_OK
         store.set_status(args.job_id, "stopping")
     except StoreError as exc:

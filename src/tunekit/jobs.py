@@ -16,6 +16,7 @@ from typing import Literal
 import numpy as np
 
 from .runner import ExecutorSpec, ExecutorSpecError, validate_executor_spec
+from .sobol import MAX_DIMENSION
 from .space import (
     Configuration,
     Dimension,
@@ -94,6 +95,11 @@ def validate_job_config(config: TuningJobConfig) -> TuningJobConfig:
         raise JobConfigError("max_parallel must not exceed max_trials")
     if config.strategy not in ("bayesian", "random"):
         raise JobConfigError(f"unknown strategy {config.strategy!r}")
+    width = config.space.encoded_width
+    if config.strategy == "bayesian" and width > MAX_DIMENSION:
+        raise JobConfigError(
+            f"the bayesian strategy's Sobol' points allow at most "
+            f"{MAX_DIMENSION} encoded coordinates; this space has {width}")
     if config.objective.goal not in ("minimize", "maximize"):
         raise JobConfigError(f"unknown goal {config.objective.goal!r}")
     if config.early_stopping not in ("off", "median"):
@@ -268,8 +274,7 @@ def _executor_from_record(record: dict) -> ExecutorSpec:
     raise JobConfigError(f"unknown executor kind {kind!r}")
 
 
-def job_config_to_dict(config: TuningJobConfig, executor: ExecutorSpec,
-                       status: str = "created") -> dict:
+def job_config_to_dict(config: TuningJobConfig, executor: ExecutorSpec) -> dict:
     return {
         "job_id": config.job_id,
         "strategy": config.strategy,
@@ -283,7 +288,6 @@ def job_config_to_dict(config: TuningJobConfig, executor: ExecutorSpec,
         "seed": config.seed,
         "retry_limit": config.retry_limit,
         "executor": _executor_to_record(executor),
-        "status": status,
     }
 
 
@@ -292,7 +296,8 @@ def job_config_from_dict(data: dict) -> tuple[TuningJobConfig,
     """Parse a job.json payload; raises JobConfigError on any defect.
 
     The executor element is None when the payload has no executor block;
-    callers that need to launch trials must treat that as an error.
+    callers that need to launch trials must treat that as an error.  The
+    status element is ``stopping`` after a stop request.
     """
     if not isinstance(data, dict):
         raise JobConfigError("job config must be a JSON object")

@@ -2,25 +2,24 @@
 
 Layout per job under the store root::
 
-    <root>/<job_id>/job.json            config + coarse status (atomic rewrite)
+    <root>/<job_id>/job.json            config; a stop request once made
     <root>/<job_id>/events.log          append-only JSON-lines event journal
-    <root>/<job_id>/trials/             created empty; no snapshots are written
 
-The event journal is the source of truth.  :func:`apply_event` is the
-only code that changes job state in response to an event: the coordinator
-applies each event it journals through it, and :func:`replay_events`
-folds a whole journal with it, so live and replayed state agree.  That
-includes the hyperparameter chain: a model-phase ``trial_launched`` carries
-``"proposal": {"log_theta": [...]}``, where the next model proposal's chain
-starts.  job.json contributes only the configuration and a requested
-``stopping``.  Files other than the journal are written to a uniquely
-named temp file and renamed, so readers never observe them half-written.
+The event journal is the source of truth, the job status included.
+:func:`apply_event` is the only code that changes job state in response to
+an event: the coordinator applies each event it journals through it, and
+:func:`replay_events` folds a whole journal with it, so live and replayed
+state agree.  That includes the hyperparameter chain: a model-phase
+``trial_launched`` carries ``"proposal": {"log_theta": [...]}``, where the
+next model proposal's chain starts.  After creation only ``tunekit stop``
+writes job.json, adding ``"status": "stopping"``; it writes a uniquely
+named temp file and renames it, so readers never see a half-written one.
 
 Durability is group-committed.  :meth:`JobStore.append_event` encodes
 each line into a per-job buffer, and :meth:`JobStore.sync` writes the
 buffer with one write and fsyncs it.  The coordinator syncs before
 anything outside it depends on the journal (a launch, a stop request, a
-job.json status) and before it waits for events, so after a crash of
+job status change) and before it waits for events, so after a crash of
 the process or a power loss the journal is a prefix that still holds
 every launch, stop and status change that took effect; the lines since
 the last sync are lost, and resume handles that as it handles any
@@ -176,9 +175,6 @@ class JobStore:
     def _events_path(self, job_id: str) -> Path:
         return self.job_dir(job_id) / "events.log"
 
-    def _trials_dir(self, job_id: str) -> Path:
-        return self.job_dir(job_id) / "trials"
-
     # -- job lifecycle -----------------------------------------------------
 
     def job_exists(self, job_id: str) -> bool:
@@ -186,14 +182,12 @@ class JobStore:
 
     def create_job(self, config: TuningJobConfig, executor: ExecutorSpec) -> str:
         """Validate, then write the job directory; nothing touches disk on error."""
-        payload = job_config_to_dict(config, executor, status="created")
+        payload = job_config_to_dict(config, executor)
         job_config_from_dict(payload)  # round-trip sanity before any write
-        job_dir = self.job_dir(config.job_id)
         if self._job_json(config.job_id).exists():
             raise AlreadyExistsError(f"job {config.job_id!r} already exists")
         try:
-            job_dir.mkdir(parents=True, exist_ok=True)
-            self._trials_dir(config.job_id).mkdir(exist_ok=True)
+            self.job_dir(config.job_id).mkdir(parents=True, exist_ok=True)
             _atomic_write_json(self._job_json(config.job_id), payload)
             self._events_path(config.job_id).touch()
         except OSError as exc:
@@ -213,6 +207,7 @@ class JobStore:
         return payload
 
     def set_status(self, job_id: str, status: str) -> None:
+        """Write ``status`` into job.json; ``tunekit stop`` writes ``stopping``."""
         payload = self.read_job_file(job_id)
         payload["status"] = status
         try:
@@ -221,6 +216,7 @@ class JobStore:
             raise StoreError(f"cannot update status for {job_id!r}: {exc}") from exc
 
     def read_status(self, job_id: str) -> str:
+        """job.json's status: ``stopping`` once a stop was requested."""
         return str(self.read_job_file(job_id).get("status", "created"))
 
     # -- events ------------------------------------------------------------
@@ -365,9 +361,9 @@ class JobStore:
     # -- trial snapshots ---------------------------------------------------
 
     def write_trial(self, job_id: str, record: TrialRecord) -> None:
-        """Write an atomic per-trial snapshot.  Jobs no longer call this;
-        it stays only because ``bench/spans.py`` wraps it."""
-        path = self._trials_dir(job_id) / f"{record.trial_id}.json"
+        """Write an atomic snapshot under ``trials/``.  Jobs no longer call
+        this; it stays only because ``bench/spans.py`` wraps it."""
+        path = self.job_dir(job_id) / "trials" / f"{record.trial_id}.json"
         try:
             path.parent.mkdir(exist_ok=True)
             _atomic_write_json(path, trial_record_to_dict(record))
@@ -378,27 +374,27 @@ class JobStore:
 
     def load_job(self, job_id: str) -> tuple[TuningJobConfig, ExecutorSpec,
                                              TuningJobState]:
-        """Rebuild job state by replaying the journal over job.json.
+        """Rebuild job state by replaying the journal.
 
         A pure read: trials a crash left running stay ``running`` here, and
         the coordinator journals their interrupted attempts when it resumes
         the job.  The status is the journal's, or ``stopping`` when job.json
-        asks for a stop.
+        asks a job that has not completed to stop.
         """
         payload = self.read_job_file(job_id)
         try:
-            config, executor, status = job_config_from_dict(payload)
+            config, executor, request = job_config_from_dict(payload)
         except JobConfigError as exc:
             raise CorruptStoreError(f"invalid job.json for {job_id!r}: {exc}") from exc
         state = replay_events(config, self.read_events(job_id))
-        if status == "stopping":
-            state.status = status
+        if request == "stopping" and state.status != "completed":
+            state.status = request
         return config, executor, state
 
     # -- read-only views ---------------------------------------------------
 
     def list_jobs(self) -> list[tuple[str, str]]:
-        """(job_id, status) pairs for every job directory under the root."""
+        """(job_id, :meth:`load_job` status) for every job under the root."""
         out = []
         if not self.root.is_dir():
             return out
@@ -406,7 +402,7 @@ class JobStore:
             if not self.job_exists(entry.name):
                 continue
             try:
-                out.append((entry.name, self.read_status(entry.name)))
+                out.append((entry.name, self.load_job(entry.name)[2].status))
             except StoreError:
                 out.append((entry.name, "unreadable"))
         return out

@@ -10,17 +10,18 @@ then proposes new trials: the surrogate is refit on everything observed
 so far, so slots never wait for each other.  A new trial is refused
 once the budget is spent or a stop was requested; the stop request
 (``stopping`` in job.json) is read only at that decision, once per
-proposed launch, and in-flight trials run to their end.  Handlers only
+proposed launch, and in-flight trials run to their end.  The coordinator
+never writes job.json, so it cannot overwrite a request.  Handlers only
 decide what happens: each transition is journaled first and then applied
 through :func:`~tunekit.jobstore.apply_event`, the transition function
 replay uses, so a crash at any event boundary is recoverable by replay.
 
 Every event is written and fsync'd before anything outside the
 coordinator depends on it, and before the coordinator waits: the journal
-is synced before each launch, each stop request and each job.json status
-write, and before blocking on an empty event queue.  A sync therefore
-writes and commits whatever piled up while the coordinator was busy, and
-a failed sync aborts the job like a failed append.
+is synced before each launch and each stop request, after each job
+status change, and before blocking on an empty event queue.  A sync
+therefore writes and commits whatever piled up while the coordinator was
+busy, and a failed sync aborts the job like a failed append.
 
 Model proposals continue one slice-sampling chain over the GP
 hyperparameters.  A job's first model proposal, and any whose state holds
@@ -191,9 +192,9 @@ def _median_stops(completed: CompletedCurves, config: TuningJobConfig,
     return decision.should_stop
 
 
-def merge_warm_start(parents: Iterable[tuple[TuningJobConfig, Iterable[TrialRecord]]],
+def merge_warm_start(parents: Iterable[Iterable[TrialRecord]],
                      child_space: SearchSpace) -> list[tuple[np.ndarray, float]]:
-    """Parent observations usable by a child job.
+    """Parent observations usable by a child job, from each parent's trials.
 
     Every completed or early-stopped parent trial is re-validated against
     the child space: values out of range, categories unknown to the
@@ -205,7 +206,7 @@ def merge_warm_start(parents: Iterable[tuple[TuningJobConfig, Iterable[TrialReco
     """
     merged: list[tuple[np.ndarray, float]] = []
     dropped = 0
-    for _, trials in parents:
+    for trials in parents:
         for trial in trials:
             if not trial.has_observation:
                 continue
@@ -230,7 +231,8 @@ class _Coordinator:
         self.executor = executor
         self.state = state
         self.events: queue.Queue[TrialEvent] = queue.Queue()
-        self.stop_requested = False
+        self.stop_requested = state.status == "stopping"
+        self.stop_unreadable = False
         # Derived from the state, so a resumed job starts from its journal.
         self.completed = CompletedCurves(
             t.curve for t in state.trials.values() if t.status == "completed")
@@ -266,7 +268,6 @@ class _Coordinator:
     def _set_job_status(self, status: str) -> None:
         self._record({"type": "job_status_changed", "status": status})
         self._sync()
-        self._write(self.store.set_status, self.config.job_id, status)
 
     # -- launching ---------------------------------------------------------
 
@@ -313,8 +314,11 @@ class _Coordinator:
                 try:
                     self.stop_requested = (
                         self.store.read_status(config.job_id) == "stopping")
-                except (StoreError, OSError):
-                    pass
+                except (StoreError, OSError) as exc:
+                    if not self.stop_unreadable:
+                        self.stop_unreadable = True
+                        logger.warning("job %s: cannot read a stop "
+                                       "request: %s", config.job_id, exc)
             if self.stop_requested:
                 break
             index = len(state.trials)
@@ -390,7 +394,6 @@ class _Coordinator:
             return self.events.get()
 
     def run(self) -> TuningJobState:
-        self.stop_requested = self.state.status == "stopping"
         if self.state.status == "completed":
             return self.state
         # A crash leaves the attempts it interrupted running in the journal.
@@ -449,11 +452,11 @@ def run_job(config: TuningJobConfig, store: JobStore,
     parents = []
     for parent_id in config.warm_start_parents:
         try:
-            parent_config, _, parent_state = store.load_job(parent_id)
+            _, _, parent_state = store.load_job(parent_id)
         except NotFoundError as exc:
             raise ParentNotFoundError(
                 f"warm-start parent {parent_id!r} not found") from exc
-        parents.append((parent_config, list(parent_state.trials.values())))
+        parents.append(parent_state.trials.values())
 
     coordinator = _Coordinator(config, store, executor, state)
     coordinator.state.warm_obs = merge_warm_start(parents, config.space)

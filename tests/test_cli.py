@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -13,9 +15,10 @@ import pytest
 import tunekit
 from tunekit.cli import main
 from tunekit.jobs import ObjectiveSpec, TuningJobConfig, job_config_to_dict
-from tunekit.jobstore import JobStore
-from tunekit.runner import ExecutorSpec
-from tunekit.space import SearchSpace, continuous
+from tunekit.jobstore import JobStore, StoreError
+from tunekit.runner import ExecutorSpec, make_executor
+from tunekit.scheduler import run_job
+from tunekit.space import SearchSpace, categorical, continuous
 
 SPACE = SearchSpace([
     continuous("x1", -5.0, 10.0),
@@ -58,9 +61,9 @@ class TestRun:
         assert "job cli-job finished: best trial-" in out
         assert "value=" in out and "x1=" in out
         store = JobStore(store_root)
-        assert store.read_status("cli-job") == "completed"
         _, _, state = store.load_job("cli-job")
         store.close()
+        assert state.status == "completed"
         assert len(state.trials) == 3
 
     def test_rerun_resumes_completed_job(self, tmp_path, capsys):
@@ -106,6 +109,17 @@ class TestRun:
             assert str(path) in err
         assert "was removed" in err
         assert not (tmp_path / "store").exists()
+
+    def test_too_wide_bayesian_space_is_config_error(self, tmp_path, capsys):
+        # 71 encoded coordinates: more than the Sobol' design supports.
+        wide = SearchSpace([categorical("c", tuple(f"v{i}" for i in range(70))),
+                            continuous("x", 0.0, 1.0)])
+        path = write_config(tmp_path, config=make_config(space=wide,
+                                                         strategy="bayesian"))
+        store_root = tmp_path / "store"
+        assert main(["run", str(path), "--store", str(store_root)]) == 2
+        assert "at most 64 encoded coordinates" in capsys.readouterr().err
+        assert not store_root.exists()
 
     def test_seed_flag_overrides_new_job(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -185,8 +199,83 @@ class TestInspection:
                      str(finished_store)]) == 0
         assert "already completed" in capsys.readouterr().out
         store = JobStore(finished_store)
-        assert store.read_status("cli-job") == "completed"
+        assert store.load_job("cli-job")[2].status == "completed"
+        assert "status" not in store.read_job_file("cli-job")
         store.close()
+
+    def test_stop_after_completion_changes_nothing(self, finished_store,
+                                                   capsys):
+        # A stop that lands just after the job completed, as when it
+        # raced the job's last trial.
+        store = JobStore(finished_store)
+        store.set_status("cli-job", "stopping")
+        events = finished_store / "cli-job" / "events.log"
+        before = events.read_bytes()
+        assert main(["describe", "cli-job", "--store",
+                     str(finished_store)]) == 0
+        assert "status:     completed" in capsys.readouterr().out
+        assert main(["list", "--store", str(finished_store)]) == 0
+        assert "cli-job\tcompleted" in capsys.readouterr().out
+        path = write_config(finished_store.parent)
+        assert main(["run", str(path), "--store", str(finished_store)]) == 0
+        assert events.read_bytes() == before
+        store.close()
+
+    def test_concurrent_stops_stop_the_job(self, tmp_path, capsys):
+        spec = ExecutorSpec(kind="builtin", benchmark="branin",
+                            iterations=2, delay=0.05)
+        config = make_config(max_trials=30, seed=2)
+        store_root = tmp_path / "store"
+        store = JobStore(store_root)
+        executor = make_executor(spec, "loss", 1)
+        outcome: dict = {}
+
+        def job():
+            try:
+                outcome["state"] = run_job(config, store, executor)
+            except Exception as exc:
+                outcome["error"] = exc
+
+        runner = threading.Thread(target=job)
+        runner.start()
+        control = JobStore(store_root)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            try:
+                if control.load_job("cli-job")[2].trials:
+                    break
+            except StoreError:
+                pass
+            time.sleep(0.01)
+        codes = []
+
+        def stop():
+            for _ in range(5):
+                codes.append(main(["stop", "cli-job", "--store",
+                                   str(store_root)]))
+
+        stoppers = [threading.Thread(target=stop) for _ in range(4)]
+        for thread in stoppers:
+            thread.start()
+        for thread in stoppers:
+            thread.join(timeout=60.0)
+        runner.join(timeout=60.0)
+        executor.shutdown()
+        store.close()
+        assert not runner.is_alive()
+        assert not any(thread.is_alive() for thread in stoppers)
+        assert "error" not in outcome
+        assert codes == [0] * 20
+        state = outcome["state"]
+        assert 1 <= len(state.trials) < 30
+        assert state.terminal_count == len(state.trials)
+        _, _, loaded = control.load_job("cli-job")
+        assert sorted(loaded.trials) == sorted(state.trials)
+        capsys.readouterr()
+        assert main(["describe", "cli-job", "--store", str(store_root)]) == 0
+        assert "status:     completed" in capsys.readouterr().out
+        assert list((store_root / "cli-job").rglob("*.tmp")) == []
+        control.close()
 
     def test_stop_marks_created_job_stopping(self, tmp_path, capsys):
         store = JobStore(tmp_path / "store")

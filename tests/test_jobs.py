@@ -71,6 +71,18 @@ class TestValidation:
         with pytest.raises(JobConfigError):
             validate_job_config(make_config(**{field: value}))
 
+    def test_bayesian_width_is_bounded_by_sobol(self):
+        # 64 encoded coordinates fit the Sobol' tables; 71 do not.
+        fits = SearchSpace([categorical("c", tuple(f"v{i}" for i in range(63))),
+                            continuous("x", 0.0, 1.0)])
+        wide = SearchSpace([categorical("c", tuple(f"v{i}" for i in range(70))),
+                            continuous("x", 0.0, 1.0)])
+        assert fits.encoded_width == 64 and wide.encoded_width == 71
+        validate_job_config(make_config(space=fits))
+        with pytest.raises(JobConfigError, match="at most 64 encoded"):
+            validate_job_config(make_config(space=wide))
+        validate_job_config(make_config(space=wide, strategy="random"))
+
     def test_bad_goal_and_metric(self):
         with pytest.raises(JobConfigError):
             validate_job_config(make_config(objective=ObjectiveSpec("loss", "down")))
@@ -181,8 +193,13 @@ class TestJsonSchema:
             warm_start_parents=("parent-a",), seed=99, retry_limit=1,
             early_stopping="median",
         )
-        payload = job_config_to_dict(config, EXECUTOR, status="running")
+        payload = job_config_to_dict(config, EXECUTOR)
         assert "inference" not in payload and "mcmc" not in payload
+        assert "status" not in payload
+        back, executor, status = job_config_from_dict(payload)
+        assert status == "created"
+        # Stores written by older versions keep the job status in job.json.
+        payload["status"] = "running"
         back, executor, status = job_config_from_dict(payload)
         assert back == config
         assert executor == EXECUTOR

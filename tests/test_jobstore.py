@@ -69,9 +69,10 @@ class TestLifecycle:
         store.create_job(make_config(), EXECUTOR)
         job_dir = store.job_dir("job-a")
         assert (job_dir / "job.json").is_file()
-        assert (job_dir / "trials").is_dir()
+        assert not (job_dir / "trials").exists()
         assert (job_dir / "events.log").is_file()
         assert store.job_exists("job-a")
+        assert "status" not in store.read_job_file("job-a")
         assert store.read_status("job-a") == "created"
 
     def test_duplicate_rejected(self, store):
@@ -145,7 +146,8 @@ class TestLifecycle:
     def test_list_jobs(self, store, tmp_path):
         store.create_job(make_config("job-a"), EXECUTOR)
         store.create_job(make_config("job-b"), EXECUTOR)
-        store.set_status("job-b", "completed")
+        store.append_event("job-b", {"type": "job_status_changed",
+                                     "status": "completed"})
         (store.root / "stray.txt").write_text("not a job")
         assert store.list_jobs() == [("job-a", "created"), ("job-b", "completed")]
 

@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from tunekit import scheduler
+from tunekit import cli, scheduler
 from tunekit.benchmarks import get_benchmark
 from tunekit.jobs import (
     JobConfigError,
@@ -224,10 +224,6 @@ class SyncCountingStore(JobStore):
     def check(self, where: str) -> None:
         self.checks.append((where, self.synced == self.appended))
 
-    def set_status(self, job_id, status) -> None:
-        self.check("set_status")
-        super().set_status(job_id, status)
-
 
 class WriteAheadExecutor:
     """Checks the journal at each launch and stop request, and emits the
@@ -316,6 +312,11 @@ class FailingSyncStore(JobStore):
         super().sync(job_id)
 
 
+def journal_status(store: JobStore, config: TuningJobConfig) -> str:
+    """The job status the journal holds, whatever job.json says."""
+    return replay_events(config, store.read_events(config.job_id)).status
+
+
 def open_journals(root) -> list[str]:
     """Paths of the journals under ``root`` that this process holds open."""
     fd_dir = "/proc/self/fd"
@@ -367,6 +368,55 @@ class StopOnFirstLaunch:
 
     def shutdown(self) -> None:
         self.inner.shutdown()
+
+
+class StopInsideRunningSync(JobStore):
+    """Runs ``tunekit stop`` right after the sync that commits the
+    ``running`` status, before the coordinator reads the stop request."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.last: dict = {}
+        self.stopped = False
+
+    def append_event(self, job_id, event) -> None:
+        super().append_event(job_id, event)
+        self.last = event
+
+    def sync(self, job_id) -> None:
+        super().sync(job_id)
+        if not self.stopped and self.last.get("status") == "running":
+            self.stopped = True
+            assert cli.main(["stop", job_id, "--store", str(self.root)]) == 0
+
+
+class UnreadableStopStore(JobStore):
+    """job.json cannot be read back for a stop request."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.reads = 0
+
+    def read_status(self, job_id) -> str:
+        self.reads += 1
+        raise StoreError("injected job.json fault")
+
+
+class FailingFinalSyncStore(JobStore):
+    """Fails the sync that would commit the ``completed`` status."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.last: dict = {}
+
+    def append_event(self, job_id, event) -> None:
+        super().append_event(job_id, event)
+        self.last = event
+
+    def sync(self, job_id) -> None:
+        if self.last.get("status") == "completed":
+            raise StoreError("injected final sync fault")
+        super().sync(job_id)
 
 
 # --- seeds, indices, and the initial design --------------------------------
@@ -560,7 +610,6 @@ class TestMergeWarmStart:
         continuous("lr", 1e-4, 1e-1, scaling="log"),
         categorical("opt", ("adam", "sgd")),
     ])
-    PARENT_CONFIG = make_config(job_id="parent-1", space=CHILD)
 
     def _parent_trial(self, i, values, **kwargs):
         space = SearchSpace([
@@ -571,7 +620,7 @@ class TestMergeWarmStart:
 
     def test_in_range_observation_survives_and_reencodes(self):
         trial = self._parent_trial(1, {"lr": 1e-2, "opt": "adam"}, final=0.5)
-        merged = merge_warm_start([(self.PARENT_CONFIG, [trial])], self.CHILD)
+        merged = merge_warm_start([[trial]], self.CHILD)
         assert len(merged) == 1
         enc, value = merged[0]
         expected = encode(Configuration({"lr": 1e-2, "opt": "adam"}),
@@ -581,27 +630,23 @@ class TestMergeWarmStart:
 
     def test_out_of_range_value_dropped(self):
         trial = self._parent_trial(1, {"lr": 0.9, "opt": "adam"}, final=0.5)
-        assert merge_warm_start([(self.PARENT_CONFIG, [trial])],
-                                self.CHILD) == []
+        assert merge_warm_start([[trial]], self.CHILD) == []
 
     def test_unknown_category_dropped(self):
         trial = self._parent_trial(1, {"lr": 1e-2, "opt": "rmsprop"},
                                    final=0.5)
-        assert merge_warm_start([(self.PARENT_CONFIG, [trial])],
-                                self.CHILD) == []
+        assert merge_warm_start([[trial]], self.CHILD) == []
 
     def test_missing_dimension_dropped(self):
         space = SearchSpace([continuous("lr", 0.0, 1.0)])
         trial = make_trial(1, space, {"lr": 1e-2}, final=0.5)
-        assert merge_warm_start([(self.PARENT_CONFIG, [trial])],
-                                self.CHILD) == []
+        assert merge_warm_start([[trial]], self.CHILD) == []
 
     def test_linear_zero_under_log_child_dropped(self):
         # A linear parent can legally observe 0.0; a log child cannot
         # encode it, so the row is dropped.
         trial = self._parent_trial(1, {"lr": 0.0, "opt": "sgd"}, final=0.1)
-        assert merge_warm_start([(self.PARENT_CONFIG, [trial])],
-                                self.CHILD) == []
+        assert merge_warm_start([[trial]], self.CHILD) == []
 
     def test_dropped_rows_are_counted(self, caplog):
         # Criterion 7's case: a linear parent over [0, 1] observed 0.0 and
@@ -612,15 +657,14 @@ class TestMergeWarmStart:
                   for i, (c, final) in enumerate(((0.0, 0.9), (0.5, 0.2)),
                                                  start=1)]
         with caplog.at_level(logging.WARNING, logger="tunekit.scheduler"):
-            merged = merge_warm_start([(self.PARENT_CONFIG, trials)],
-                                      child_space)
+            merged = merge_warm_start([trials], child_space)
         assert [v for _, v in merged] == [0.2]
         assert "dropped 1 of 2 warm-start observations" in caplog.text
 
     def test_nothing_dropped_logs_nothing(self, caplog):
         trial = self._parent_trial(1, {"lr": 1e-2, "opt": "adam"}, final=0.5)
         with caplog.at_level(logging.WARNING, logger="tunekit.scheduler"):
-            merge_warm_start([(self.PARENT_CONFIG, [trial])], self.CHILD)
+            merge_warm_start([[trial]], self.CHILD)
         assert caplog.records == []
 
     def test_unobserved_trials_dropped(self):
@@ -628,21 +672,18 @@ class TestMergeWarmStart:
                                     status="failed", final=None)
         running = self._parent_trial(2, {"lr": 1e-2, "opt": "adam"},
                                      status="running", final=None)
-        assert merge_warm_start([(self.PARENT_CONFIG, [failed, running])],
-                                self.CHILD) == []
+        assert merge_warm_start([[failed, running]], self.CHILD) == []
 
     def test_early_stopped_trial_survives(self):
         trial = self._parent_trial(1, {"lr": 1e-2, "opt": "sgd"},
                                    status="early_stopped", final=0.7)
-        merged = merge_warm_start([(self.PARENT_CONFIG, [trial])], self.CHILD)
+        merged = merge_warm_start([[trial]], self.CHILD)
         assert [v for _, v in merged] == [0.7]
 
     def test_two_parents_union_in_order(self):
         a = self._parent_trial(1, {"lr": 1e-2, "opt": "adam"}, final=0.5)
         b = self._parent_trial(1, {"lr": 1e-3, "opt": "sgd"}, final=0.3)
-        merged = merge_warm_start(
-            [(self.PARENT_CONFIG, [a]), (self.PARENT_CONFIG, [b])],
-            self.CHILD)
+        merged = merge_warm_start([[a], [b]], self.CHILD)
         assert [v for _, v in merged] == [0.5, 0.3]
 
 
@@ -657,7 +698,7 @@ class TestRunJob:
         assert only.status == "completed"
         assert state.incumbent("minimize") is only
         store = JobStore(tmp_path / "s")
-        assert store.read_status(config.job_id) == "completed"
+        assert journal_status(store, config) == "completed"
         store.close()
 
     def test_budget_exact_with_parallelism(self, tmp_path):
@@ -797,7 +838,7 @@ class TestRunJob:
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
             try:
-                if control.read_status(config.job_id) == "running":
+                if journal_status(control, config) == "running":
                     break
             except StoreError:
                 pass
@@ -811,7 +852,7 @@ class TestRunJob:
         assert 1 <= len(state.trials) < 30
         assert not state.running_ids
         assert state.terminal_count == len(state.trials)
-        assert control.read_status(config.job_id) == "completed"
+        assert journal_status(control, config) == "completed"
         control.close()
         store.close()
 
@@ -896,8 +937,54 @@ class TestRunJob:
         assert executor.launched == ["trial-0001"]
         assert list(state.trials) == ["trial-0001"]
         assert state.trials["trial-0001"].status == "completed"
-        assert control.read_status(config.job_id) == "completed"
+        assert journal_status(control, config) == "completed"
         control.close()
+
+    def test_stop_during_the_running_sync_is_kept(self, tmp_path):
+        # The coordinator never writes job.json, so a stop that lands
+        # between its status change and its first launch stands.
+        config = make_config(max_trials=4)
+        store = StopInsideRunningSync(tmp_path / "s")
+        executor = ScriptedExecutor([1.0])
+        try:
+            state = run_job(config, store, executor)
+        finally:
+            store.close()
+        assert store.stopped
+        assert executor.launches == []
+        assert state.trials == {}
+        reader = JobStore(tmp_path / "s")
+        assert journal_status(reader, config) == "completed"
+        assert reader.read_status(config.job_id) == "stopping"
+        reader.close()
+
+    def test_unreadable_stop_request_warns_once(self, tmp_path, caplog):
+        config = make_config(max_trials=4)
+        store = UnreadableStopStore(tmp_path / "s")
+        with caplog.at_level(logging.WARNING, logger="tunekit.scheduler"):
+            try:
+                state = run_job(config, store, ScriptedExecutor([1.0]))
+            finally:
+                store.close()
+        assert state.terminal_count == 4
+        assert store.reads == 4
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "tunekit.scheduler"]
+        assert len(warnings) == 1
+        assert "cannot read a stop request" in warnings[0]
+        assert "injected job.json fault" in warnings[0]
+
+    def test_failed_sync_of_completed_status_aborts(self, tmp_path):
+        config = make_config(max_trials=2)
+        store = FailingFinalSyncStore(tmp_path / "s")
+        try:
+            with pytest.raises(JobAborted, match="injected final sync fault"):
+                run_job(config, store, ScriptedExecutor([1.0]))
+        finally:
+            store.close()
+        reader = JobStore(tmp_path / "s")
+        assert journal_status(reader, config) == "running"
+        reader.close()
 
     def test_crash_recovery_resumes_to_full_budget(self, tmp_path):
         config = make_config(max_trials=6, max_parallel=2, seed=8)
@@ -919,7 +1006,7 @@ class TestRunJob:
         assert len(set(state.trials)) == 6
         assert state.incumbent("minimize") is not None
         store = JobStore(tmp_path / "s")
-        assert store.read_status(config.job_id) == "completed"
+        assert journal_status(store, config) == "completed"
         store.close()
 
     def test_journal_is_synced_before_anything_depends_on_it(
@@ -942,7 +1029,7 @@ class TestRunJob:
         unsynced = [where for where, ok in store.checks if not ok]
         assert unsynced == []
         kinds = {where for where, _ in store.checks}
-        assert kinds == {"launch", "request_stop", "set_status", "wait"}
+        assert kinds == {"launch", "request_stop", "wait"}
 
     def test_failed_sync_aborts_and_stops_running_trials(self, tmp_path,
                                                          caplog):
@@ -1003,11 +1090,11 @@ class TestRunJob:
         launches, stops = len(executor.launches), len(executor.stops)
         assert stops >= 1
         # One journal sync before each launch and each stop request, one
-        # before each of the two status writes, and one to spare.
+        # after each of the two status changes, and one to spare.
         assert fsyncs["journal"] <= launches + stops + 3
-        # job.json is written atomically at creation and at each status.
-        assert fsyncs["other"] == 3
-        assert list((tmp_path / "s" / config.job_id / "trials").iterdir()) == []
+        # job.json is written atomically at creation only.
+        assert fsyncs["other"] == 1
+        assert not (tmp_path / "s" / config.job_id / "trials").exists()
 
     def test_live_state_equals_replayed_journal(self, tmp_path):
         curve = get_benchmark("curve-sim")
@@ -1226,6 +1313,57 @@ class TestResume:
         assert worse.curve.points == [(1, 5.0), (2, 5.0)]
         assert executor.stops == [worse.trial_id]
 
+    @pytest.mark.parametrize("journal_end", ["running", "completed"])
+    @pytest.mark.parametrize("file_status", ["running", "completed",
+                                             "stopping"])
+    def test_stores_with_a_status_in_job_json_still_work(
+            self, tmp_path, journal_end, file_status):
+        # Older versions also kept the job status in job.json, and made an
+        # empty trials/ directory.
+        config = make_config(max_trials=3)
+        root = tmp_path / "s"
+        if journal_end == "completed":
+            run_to_completion(root, config, executor=ScriptedExecutor([2.0]))
+        else:
+            cfg = Configuration({"x1": 1.0, "x2": 2.0})
+            store = JobStore(root)
+            store.create_job(config, FAST_BRANIN)
+            store.append_event(config.job_id, {"type": "job_status_changed",
+                                               "status": "running"})
+            store.append_event(config.job_id, {
+                "type": "trial_launched", "trial_id": "trial-0001",
+                "attempt": 1, "config": dict(cfg.values),
+                "encoded": [float(v) for v in encode(cfg, config.space)]})
+            store.close()
+        store = JobStore(root)
+        store.set_status(config.job_id, file_status)
+        (root / config.job_id / "trials").mkdir(exist_ok=True)
+        want = ("completed" if journal_end == "completed" else
+                "stopping" if file_status == "stopping" else "running")
+        assert store.load_job(config.job_id)[2].status == want
+        assert store.list_jobs() == [(config.job_id, want)]
+        before = store.read_events(config.job_id)
+
+        executor = ScriptedExecutor([2.0])
+        state = run_job(config, store, executor)
+        store.close()
+        reader = JobStore(root)
+        after = reader.read_events(config.job_id)
+        assert reader.list_jobs() == [(config.job_id, "completed")]
+        reader.close()
+        assert state.status == "completed"
+        if journal_end == "completed":
+            assert after == before and executor.launches == []
+            assert state.terminal_count == 3
+        elif file_status == "stopping":
+            # Only the interrupted trial runs again.
+            assert executor.launches == ["trial-0001"]
+            assert list(state.trials) == ["trial-0001"]
+            assert state.trials["trial-0001"].status == "completed"
+        else:
+            assert executor.launches == ["trial-0001", "trial-0002",
+                                         "trial-0003"]
+            assert state.terminal_count == 3
 
     def test_torn_journal_tail_resumes_and_reloads(self, tmp_path):
         curve = get_benchmark("curve-sim")
