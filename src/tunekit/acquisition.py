@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .sobol import sobol_points
+from .sobol import MAX_DIMENSION, sobol_points
 from .space import Configuration, SearchSpace, decode, encode, sample_random
 # predict_batch is not called here; the name stays importable from this
 # module because bench/spans.py wraps it at this lookup site.
@@ -184,7 +184,11 @@ def propose(ctx: AcquisitionContext, seed: int | np.random.SeedSequence) -> Conf
     if not ctx.posteriors:
         raise ValueError("propose requires at least one fitted posterior")
     width = ctx.space.encoded_width
-    anchors = _sobol_anchors(width, min(2048, 512 * width))
+    n_anchor = min(2048, 512 * width)
+    if width <= MAX_DIMENSION:
+        anchors = _sobol_anchors(width, n_anchor)
+    else:
+        anchors = np.random.default_rng(seed).random((n_anchor, width))
     values = acquisition_values(anchors, ctx)
     known = _known_points(ctx)
 

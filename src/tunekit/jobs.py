@@ -16,7 +16,6 @@ from typing import Literal
 import numpy as np
 
 from .runner import ExecutorSpec, ExecutorSpecError, validate_executor_spec
-from .sobol import MAX_DIMENSION
 from .space import (
     Configuration,
     Dimension,
@@ -95,11 +94,6 @@ def validate_job_config(config: TuningJobConfig) -> TuningJobConfig:
         raise JobConfigError("max_parallel must not exceed max_trials")
     if config.strategy not in ("bayesian", "random"):
         raise JobConfigError(f"unknown strategy {config.strategy!r}")
-    width = config.space.encoded_width
-    if config.strategy == "bayesian" and width > MAX_DIMENSION:
-        raise JobConfigError(
-            f"the bayesian strategy's Sobol' points allow at most "
-            f"{MAX_DIMENSION} encoded coordinates; this space has {width}")
     if config.objective.goal not in ("minimize", "maximize"):
         raise JobConfigError(f"unknown goal {config.objective.goal!r}")
     if config.early_stopping not in ("off", "median"):
@@ -297,7 +291,10 @@ def job_config_from_dict(data: dict) -> tuple[TuningJobConfig,
 
     The executor element is None when the payload has no executor block;
     callers that need to launch trials must treat that as an error.  The
-    status element is ``stopping`` after a stop request.
+    status element is job.json's raw ``status`` (``created`` when absent).
+    Only ``stopping`` means anything: it is a stop request.  Stores from
+    older versions may also hold ``created``, ``running`` or ``completed``
+    there, which the journal supersedes.
     """
     if not isinstance(data, dict):
         raise JobConfigError("job config must be a JSON object")

@@ -62,7 +62,7 @@ from .space import (
     sample_random,
     validate_value,
 )
-from .sobol import scrambled_sobol_points
+from .sobol import MAX_DIMENSION, scrambled_sobol_points
 from .stopping import CompletedCurves, median_rule
 from .surrogate import CholeskyFailure, GpHyperParams, fit_posterior
 
@@ -112,8 +112,14 @@ def initial_design_size(config: TuningJobConfig) -> int:
 
 
 def _design_point(config: TuningJobConfig, index: int) -> Configuration:
+    """The ``index``-th initial design point: scrambled Sobol', or uniform
+    random for spaces wider than the Sobol' tables (as ``propose`` does)."""
     seed = _derive_seed(config.seed, _SEED_INIT_DESIGN)
-    points = scrambled_sobol_points(config.space.encoded_width, index + 1, seed)
+    width = config.space.encoded_width
+    if width > MAX_DIMENSION:
+        points = np.random.default_rng(seed).random((index + 1, width))
+    else:
+        points = scrambled_sobol_points(width, index + 1, seed)
     return decode(points[index], config.space)
 
 

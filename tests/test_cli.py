@@ -18,7 +18,7 @@ from tunekit.jobs import ObjectiveSpec, TuningJobConfig, job_config_to_dict
 from tunekit.jobstore import JobStore, StoreError
 from tunekit.runner import ExecutorSpec, make_executor
 from tunekit.scheduler import run_job
-from tunekit.space import SearchSpace, categorical, continuous
+from tunekit.space import SearchSpace, continuous
 
 SPACE = SearchSpace([
     continuous("x1", -5.0, 10.0),
@@ -109,17 +109,6 @@ class TestRun:
             assert str(path) in err
         assert "was removed" in err
         assert not (tmp_path / "store").exists()
-
-    def test_too_wide_bayesian_space_is_config_error(self, tmp_path, capsys):
-        # 71 encoded coordinates: more than the Sobol' design supports.
-        wide = SearchSpace([categorical("c", tuple(f"v{i}" for i in range(70))),
-                            continuous("x", 0.0, 1.0)])
-        path = write_config(tmp_path, config=make_config(space=wide,
-                                                         strategy="bayesian"))
-        store_root = tmp_path / "store"
-        assert main(["run", str(path), "--store", str(store_root)]) == 2
-        assert "at most 64 encoded coordinates" in capsys.readouterr().err
-        assert not store_root.exists()
 
     def test_seed_flag_overrides_new_job(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -57,6 +57,12 @@ BRANIN_SPACE = SearchSpace([
 
 FAST_BRANIN = ExecutorSpec(kind="builtin", benchmark="branin")
 
+# 71 encoded coordinates: wider than the 64 the Sobol' tables cover.
+WIDE_SPACE = SearchSpace([
+    categorical("c", tuple(f"v{i}" for i in range(70))),
+    continuous("x", 0.0, 1.0),
+])
+
 
 def make_config(**overrides) -> TuningJobConfig:
     defaults = dict(
@@ -462,6 +468,14 @@ class TestSeedsAndDesign:
         for i in range(6):
             for j in range(i + 1, 6):
                 assert np.max(np.abs(encs[i] - encs[j])) > 1e-6
+
+    def test_design_points_beyond_sobol_width_are_random(self):
+        config = make_config(strategy="bayesian", space=WIDE_SPACE)
+        seed = _derive_seed(config.seed, 101)
+        points = np.random.default_rng(seed).random((4, 71))
+        for index in range(4):
+            expected = decode(points[index], config.space)
+            assert _design_point(config, index).values == expected.values
 
 
 # --- next_candidate --------------------------------------------------------
@@ -1176,6 +1190,38 @@ class TestRunJob:
         # trial is already model-based rather than a space-filling point.
         first = state.trials["trial-0001"]
         assert dict(first.config) != _design_point(child, 0).values
+
+    def test_bayesian_job_wider_than_sobol_runs(self, tmp_path):
+        config = make_config(strategy="bayesian", space=WIDE_SPACE,
+                             max_trials=3)
+        state = run_to_completion(tmp_path / "s", config,
+                                  executor=VaryingExecutor())
+        assert state.status == "completed"
+        assert [t.status for t in state.trials.values()] == ["completed"] * 3
+
+    def test_wide_warm_start_proposes_from_random_anchors(self, tmp_path):
+        # The parent's observations cover the child's initial design, so
+        # the child's first trial comes from propose on a 71-wide space.
+        parent = make_config(job_id="wide-parent", space=WIDE_SPACE,
+                             max_trials=10, seed=4)
+        run_to_completion(tmp_path / "s", parent, executor=VaryingExecutor())
+        child = make_config(job_id="wide-child", strategy="bayesian",
+                            space=WIDE_SPACE, max_trials=1, seed=6,
+                            warm_start_parents=("wide-parent",))
+        assert initial_design_size(child) == 10
+        state = run_to_completion(tmp_path / "s", child,
+                                  executor=VaryingExecutor())
+        assert len(state.warm_obs) == 10
+        assert state.status == "completed"
+        assert state.trials["trial-0001"].status == "completed"
+        # Only a model proposal journals a hyperparameter chain state.
+        store = JobStore(tmp_path / "s")
+        try:
+            loaded, _, reloaded = store.load_job("wide-child")
+        finally:
+            store.close()
+        assert loaded == child and reloaded.status == "completed"
+        assert reloaded.chain_log_theta is not None
 
 
 # --- external trials through the whole loop --------------------------------
