@@ -291,10 +291,8 @@ def job_config_from_dict(data: dict) -> tuple[TuningJobConfig,
 
     The executor element is None when the payload has no executor block;
     callers that need to launch trials must treat that as an error.  The
-    status element is job.json's raw ``status`` (``created`` when absent).
-    Only ``stopping`` means anything: it is a stop request.  Stores from
-    older versions may also hold ``created``, ``running`` or ``completed``
-    there, which the journal supersedes.
+    status element is job.json's raw ``status`` (default ``created``); only
+    ``stopping`` has meaning, as a stop request (older stores hold others).
     """
     if not isinstance(data, dict):
         raise JobConfigError("job config must be a JSON object")

@@ -1,17 +1,16 @@
 """The asynchronous tuning loop.
 
 One coordinator (the thread calling :func:`run_job`) owns all mutable job
-state.  Trials execute concurrently through an executor and talk back
-only via an ordered event queue.  The loop fills the free slots, then,
-while any trial runs, handles one event, and fills again when that event
-took its trial out of ``running``; the job is done when a fill leaves
-nothing running.  Filling relaunches pending retries first, and only
-then proposes new trials: the surrogate is refit on everything observed
-so far, so slots never wait for each other.  A new trial is refused
-once the budget is spent or a stop was requested; the stop request
-(``stopping`` in job.json) is read only at that decision, once per
-proposed launch, and in-flight trials run to their end.  The coordinator
-never writes job.json, so it cannot overwrite a request.  Handlers only
+state.  Trials execute concurrently through an executor and talk back only
+via an ordered event queue.  The loop fills the free slots, then, while
+any trial runs, handles one event, and fills again when that event took
+its trial out of ``running``; the job is done when a fill leaves nothing
+running.  Filling relaunches pending retries first, and only then proposes
+new trials: the surrogate is refit on everything observed so far, so slots
+never wait for each other.  A new trial is refused once the budget is
+spent or a stop was requested; the stop request (``stopping`` in job.json,
+which the coordinator never writes) is read only at that decision, once
+per proposed launch, and in-flight trials run to their end.  Handlers only
 decide what happens: each transition is journaled first and then applied
 through :func:`~tunekit.jobstore.apply_event`, the transition function
 replay uses, so a crash at any event boundary is recoverable by replay.
@@ -112,14 +111,11 @@ def initial_design_size(config: TuningJobConfig) -> int:
 
 
 def _design_point(config: TuningJobConfig, index: int) -> Configuration:
-    """The ``index``-th initial design point: scrambled Sobol', or uniform
-    random for spaces wider than the Sobol' tables (as ``propose`` does)."""
     seed = _derive_seed(config.seed, _SEED_INIT_DESIGN)
     width = config.space.encoded_width
-    if width > MAX_DIMENSION:
-        points = np.random.default_rng(seed).random((index + 1, width))
-    else:
-        points = scrambled_sobol_points(width, index + 1, seed)
+    if width > MAX_DIMENSION:  # beyond the Sobol' tables, as in propose
+        return sample_random(config.space, seed, index + 1)[index]
+    points = scrambled_sobol_points(width, index + 1, seed)
     return decode(points[index], config.space)
 
 
@@ -458,11 +454,10 @@ def run_job(config: TuningJobConfig, store: JobStore,
     parents = []
     for parent_id in config.warm_start_parents:
         try:
-            _, _, parent_state = store.load_job(parent_id)
+            parents.append(store.load_job(parent_id)[2].trials.values())
         except NotFoundError as exc:
             raise ParentNotFoundError(
                 f"warm-start parent {parent_id!r} not found") from exc
-        parents.append(parent_state.trials.values())
 
     coordinator = _Coordinator(config, store, executor, state)
     coordinator.state.warm_obs = merge_warm_start(parents, config.space)
