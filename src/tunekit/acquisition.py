@@ -24,7 +24,7 @@ from .sobol import MAX_DIMENSION, sobol_points
 from .space import Configuration, SearchSpace, decode, encode, sample_random
 # predict_batch is not called here; the name stays importable from this
 # module because bench/spans.py wraps it at this lookup site.
-from .surrogate import (GpPosterior, PosteriorStack, predict_batch,  # noqa: F401
+from .surrogate import (GpPosterior, predict_batch,  # noqa: F401
                         predict_stack, stack_posteriors)
 
 logger = logging.getLogger(__name__)
@@ -87,7 +87,7 @@ class AcquisitionContext:
     pending: tuple[tuple[float, ...], ...]
     space: SearchSpace
     _pending_array: np.ndarray = field(init=False, repr=False, compare=False)
-    _stack: PosteriorStack | None = field(init=False, repr=False, compare=False)
+    _stack: GpPosterior | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         width = self.space.encoded_width

@@ -11,6 +11,7 @@ and above go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -70,7 +71,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if store.job_exists(config.job_id):
         # Resuming: the stored job, not the file, is authoritative.
         try:
-            config, executor_spec, _ = store.load_job(config.job_id)
+            config, executor_spec, _ = store.read_config(config.job_id)
         except StoreError as exc:
             return _fail(str(exc), EXIT_JOB_FAILURE)
 
@@ -151,26 +152,25 @@ def cmd_export(args: argparse.Namespace) -> int:
     except StoreError as exc:
         return _fail(str(exc), EXIT_JOB_FAILURE)
     names = config.space.names()
-    header = ["trial_id", "status", "final_value", "started", "finished"] + names
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
+    rows = [["trial_id", "status", "final_value", "started", "finished"] + names]
+    for trial_id in sorted(state.trials):
+        trial = state.trials[trial_id]
+        row = [
+            trial.trial_id,
+            trial.status,
+            "" if trial.final_value is None else repr(trial.final_value),
+            "" if trial.started is None else repr(trial.started),
+            "" if trial.finished is None else repr(trial.finished),
+        ]
+        row.extend(repr(v) if isinstance(v, float) else str(v)
+                   for v in (trial.config[name] for name in names))
+        rows.append(row)
     try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        for trial_id in sorted(state.trials):
-            trial = state.trials[trial_id]
-            row = [
-                trial.trial_id,
-                trial.status,
-                "" if trial.final_value is None else repr(trial.final_value),
-                "" if trial.started is None else repr(trial.started),
-                "" if trial.finished is None else repr(trial.finished),
-            ]
-            row.extend(repr(v) if isinstance(v, float) else str(v)
-                       for v in (trial.config[name] for name in names))
-            writer.writerow(row)
-    finally:
-        if args.output:
-            out.close()
+        with (open(args.output, "w", newline="") if args.output
+              else contextlib.nullcontext(sys.stdout)) as out:
+            csv.writer(out).writerows(rows)
+    except OSError as exc:
+        return _fail(f"cannot write the export: {exc}", EXIT_JOB_FAILURE)
     return EXIT_OK
 
 

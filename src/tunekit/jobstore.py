@@ -200,11 +200,20 @@ class JobStore:
             raise NotFoundError(f"job {job_id!r} not found under {self.root}")
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorruptStoreError(f"cannot read job.json for {job_id!r}: {exc}") from exc
         if not isinstance(payload, dict):
             raise CorruptStoreError(f"job.json for {job_id!r} is not an object")
         return payload
+
+    def read_config(self, job_id: str) -> tuple[TuningJobConfig, ExecutorSpec,
+                                               str]:
+        """job.json parsed: the config, the executor and its raw status."""
+        payload = self.read_job_file(job_id)
+        try:
+            return job_config_from_dict(payload)
+        except JobConfigError as exc:
+            raise CorruptStoreError(f"invalid job.json for {job_id!r}: {exc}") from exc
 
     def set_status(self, job_id: str, status: str) -> None:
         """Write ``status`` into job.json; ``tunekit stop`` writes ``stopping``."""
@@ -316,6 +325,7 @@ class JobStore:
         """All parseable journal entries, tolerating a torn final line.
 
         The entries are the journal's, then this store's unsynced ones.
+        A line that is not UTF-8 is unparseable like any other bad line.
         """
         path = self._events_path(job_id)
         if not path.is_file():
@@ -323,31 +333,32 @@ class JobStore:
                 raise NotFoundError(f"job {job_id!r} not found under {self.root}")
             return []
         try:
-            raw = path.read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except OSError as exc:
             raise StoreError(f"cannot read events.log: {exc}") from exc
-        raw += "".join(self._pending.get(job_id, ()))
+        raw += "".join(self._pending.get(job_id, ())).encode("utf-8")
         if not raw:
             return []
-        if raw.endswith("\n"):
+        if raw.endswith(b"\n"):
             raw = raw[:-1]
         # One parse of the whole journal as an array, accepted only when it
         # holds one object per line; otherwise the line-by-line loop finds
         # the torn or corrupt line.
         try:
-            events = json.loads("[" + raw.replace("\n", ",\n") + "]")
+            events = json.loads(
+                "[" + raw.decode("utf-8").replace("\n", ",\n") + "]")
         except ValueError:
             pass
         else:
-            if (len(events) == raw.count("\n") + 1
+            if (len(events) == raw.count(b"\n") + 1
                     and all(type(event) is dict for event in events)):
                 return events
-        lines = raw.split("\n")
+        lines = raw.split(b"\n")
         events = []
         for index, line in enumerate(lines):
             try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+                events.append(json.loads(line.decode("utf-8")))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 if index == len(lines) - 1:
                     logger.warning(
                         "job %s: discarding torn final journal line (%s)",
@@ -381,11 +392,7 @@ class JobStore:
         the job.  The status is the journal's, or ``stopping`` when job.json
         asks a job that has not completed to stop.
         """
-        payload = self.read_job_file(job_id)
-        try:
-            config, executor, request = job_config_from_dict(payload)
-        except JobConfigError as exc:
-            raise CorruptStoreError(f"invalid job.json for {job_id!r}: {exc}") from exc
+        config, executor, request = self.read_config(job_id)
         state = replay_events(config, self.read_events(job_id))
         if request == "stopping" and state.status != "completed":
             state.status = request

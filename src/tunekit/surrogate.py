@@ -11,13 +11,14 @@ back into predictive variances.
 Each GP step has one implementation, which jobs and the public functions
 share: ``_scaled`` (warp), ``_factor`` (Cholesky), ``_lml`` (behind both
 ``lml_function`` and ``log_marginal_likelihood``) and ``predict_stack``
-(behind ``predict_batch`` and ``predict``, as a one-member stack).
+(behind ``predict_batch`` and ``predict``, on ``GpPosterior``, the one
+fitted-posterior type, which ``stack_posteriors`` concatenates).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import cho_solve, get_lapack_funcs, solve_triangular
@@ -25,9 +26,7 @@ from scipy.linalg import cho_solve, get_lapack_funcs, solve_triangular
 __all__ = [
     "CholeskyFailure",
     "GpHyperParams",
-    "NormalizedTargets",
     "GpPosterior",
-    "PosteriorStack",
     "LENGTHSCALE_BOUNDS",
     "AMPLITUDE_BOUNDS",
     "NOISE_BOUNDS",
@@ -150,43 +149,22 @@ class GpHyperParams:
         return np.log(lo), np.log(hi)
 
 
-@dataclass(frozen=True)
-class NormalizedTargets:
-    """Standardised targets together with the affine map that produced them."""
-
-    z: np.ndarray
-    mean: float
-    scale: float
-
-
 @dataclass(frozen=True, eq=False)
 class GpPosterior:
-    """Fitted state: design, normalised targets, and the Cholesky solve.
+    """Fitted posterior of ``S`` ensemble members, the member axis leading.
 
-    ``scaled_design`` caches the warped, lengthscale-scaled design rows so
-    repeated predictions do not re-warp the training inputs.
+    Holds what ``predict_stack`` reads, so one vectorised pass serves all
+    members.  ``fit_posterior`` returns ``S = 1``; ``stack_posteriors``
+    concatenates members.  Shapes: ``design``, the encoded design rows
+    the members share, is ``(n, w)``; ``warp_a``, ``warp_b`` and
+    ``lengthscales`` are ``(S, 1, w)``; ``amplitude``, ``target_mean``
+    and ``target_scale`` are ``(S, 1)``; ``scaled_design``, the warped,
+    lengthscale-scaled design, is ``(S, n, w)``, ``alpha`` ``(S, n, 1)``,
+    and ``chol_inv``, the inverse of each member's lower Cholesky factor,
+    ``(S, n, n)``.
     """
 
     design: np.ndarray
-    targets: NormalizedTargets
-    theta: GpHyperParams
-    chol: np.ndarray
-    alpha: np.ndarray
-    scaled_design: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class PosteriorStack:
-    """An ensemble of posteriors as arrays with the member as leading axis.
-
-    Built by ``stack_posteriors`` so that ``predict_stack`` serves all
-    ``S`` members in one vectorised pass.  Shapes: ``warp_a``, ``warp_b``
-    and ``lengthscales`` are ``(S, 1, w)``; ``amplitude``, ``target_mean``
-    and ``target_scale`` are ``(S, 1)``; ``scaled_design`` is
-    ``(S, n, w)``, ``alpha`` ``(S, n, 1)``, and ``chol_inv``, the inverse
-    of each member's lower Cholesky factor, ``(S, n, n)``.
-    """
-
     warp_a: np.ndarray
     warp_b: np.ndarray
     lengthscales: np.ndarray
@@ -273,14 +251,15 @@ def kernel_matrix(x: np.ndarray, x2: np.ndarray, theta: GpHyperParams) -> np.nda
                                _scaled(_clip(x2), *params), theta.amplitude)
 
 
-def _normalize_targets(y: np.ndarray) -> NormalizedTargets:
+def _normalize_targets(y: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Standardised targets ``z`` and the ``(mean, scale)`` that made them."""
     y = np.asarray(y, dtype=float)
     if y.size == 0:
-        return NormalizedTargets(z=y.copy(), mean=0.0, scale=1.0)
+        return y.copy(), 0.0, 1.0
     mean = float(y.mean())
     std = float(y.std())
     scale = std if std >= _STD_FLOOR else 1.0
-    return NormalizedTargets(z=(y - mean) / scale, mean=mean, scale=scale)
+    return (y - mean) / scale, mean, scale
 
 
 def _chol_with_jitter(k_noisy: np.ndarray, amplitude: float) -> np.ndarray:
@@ -321,8 +300,8 @@ def _lml(clipped: np.ndarray, z: np.ndarray, lengthscales, amplitude,
                  - 0.5 * n * _LOG_2PI)
 
 
-def _checked_data(design, y, width: int) -> tuple[np.ndarray, NormalizedTargets]:
-    """Design as an ``(n, width)`` float array and the normalised targets."""
+def _checked_data(design, y, width: int):
+    """Design as an ``(n, width)`` float array and ``_normalize_targets(y)``."""
     design = np.atleast_2d(np.asarray(design, dtype=float))
     if design.size == 0:
         design = design.reshape(0, width)
@@ -337,6 +316,9 @@ def _checked_data(design, y, width: int) -> tuple[np.ndarray, NormalizedTargets]
 def fit_posterior(design: np.ndarray, y: np.ndarray,
                   theta: GpHyperParams) -> GpPosterior:
     """Factorise the model for a fixed hyperparameter setting.
+
+    Returns a one-member ``GpPosterior``, its inverse Cholesky factor
+    computed here, once.
 
     Parameters
     ----------
@@ -353,25 +335,31 @@ def fit_posterior(design: np.ndarray, y: np.ndarray,
     CholeskyFailure
         If the noisy kernel matrix cannot be factorised after jitter retries.
     """
-    design, targets = _checked_data(design, y, theta.width)
-    if design.shape[0] == 0:
-        empty = np.zeros((0, 0))
-        return GpPosterior(design, targets, theta, empty, np.zeros(0),
-                           design.copy())
+    design, (z, mean, scale) = _checked_data(design, y, theta.width)
     scaled = _scaled(np.clip(design, 0.0, 1.0), theta.warp_a, theta.warp_b,
                      theta.lengthscales)
     chol = _factor(scaled, theta.amplitude, theta.noise_var)
-    alpha = cho_solve((chol, True), targets.z, check_finite=False)
-    return GpPosterior(design, targets, theta, chol, alpha, scaled)
+    alpha = cho_solve((chol, True), z, check_finite=False)
+    chol_inv = solve_triangular(chol, np.eye(design.shape[0]), lower=True,
+                                check_finite=False)
+    return GpPosterior(
+        design=design, warp_a=theta.warp_a.reshape(1, 1, -1),
+        warp_b=theta.warp_b.reshape(1, 1, -1),
+        lengthscales=theta.lengthscales.reshape(1, 1, -1),
+        amplitude=np.full((1, 1), theta.amplitude),
+        target_mean=np.full((1, 1), mean), target_scale=np.full((1, 1), scale),
+        scaled_design=scaled[np.newaxis], alpha=alpha[np.newaxis, :, np.newaxis],
+        chol_inv=chol_inv[np.newaxis])
 
 
 def predict_batch(post: GpPosterior, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance of the latent function at a stack of points.
 
+    ``post`` is a one-member posterior, as ``fit_posterior`` returns.
     Returns raw-scale means and variances (the normalisation is undone).
     Variances exclude the observation noise and are clamped at zero.
     """
-    mean, var = predict_stack(stack_posteriors([post]), x)
+    mean, var = predict_stack(post, x)
     return mean[0], var[0]
 
 
@@ -381,40 +369,25 @@ def predict(post: GpPosterior, x: np.ndarray) -> tuple[float, float]:
     return float(mean[0]), float(var[0])
 
 
-def stack_posteriors(posteriors) -> PosteriorStack:
-    """Stack an ensemble for ``predict_stack``.
+def stack_posteriors(posteriors) -> GpPosterior:
+    """Concatenate posteriors along the member axis for ``predict_stack``.
 
     Members must have the same input width and number of observations;
-    they normally share the design and differ in hyperparameters.
+    they normally share the design and differ in hyperparameters.  The
+    result keeps the first member's ``design``.
     """
     posteriors = tuple(posteriors)
     if not posteriors:
         raise ValueError("cannot stack an empty ensemble")
-    shape = posteriors[0].scaled_design.shape
-    if any(post.scaled_design.shape != shape for post in posteriors):
+    shape = posteriors[0].scaled_design.shape[1:]
+    if any(post.scaled_design.shape[1:] != shape for post in posteriors):
         raise ValueError("ensemble members differ in design shape")
-    eye = np.eye(shape[0])
-
-    def stacked(values) -> np.ndarray:
-        return np.stack([np.asarray(v, dtype=float) for v in values])
-
-    return PosteriorStack(
-        warp_a=stacked(p.theta.warp_a for p in posteriors)[:, np.newaxis, :],
-        warp_b=stacked(p.theta.warp_b for p in posteriors)[:, np.newaxis, :],
-        lengthscales=stacked(
-            p.theta.lengthscales for p in posteriors)[:, np.newaxis, :],
-        amplitude=stacked([p.theta.amplitude] for p in posteriors),
-        target_mean=stacked([p.targets.mean] for p in posteriors),
-        target_scale=stacked([p.targets.scale] for p in posteriors),
-        scaled_design=stacked(p.scaled_design for p in posteriors),
-        alpha=stacked(p.alpha for p in posteriors)[:, :, np.newaxis],
-        chol_inv=stacked(
-            solve_triangular(p.chol, eye, lower=True, check_finite=False)
-            for p in posteriors),
-    )
+    return GpPosterior(design=posteriors[0].design, **{
+        f.name: np.concatenate([getattr(post, f.name) for post in posteriors])
+        for f in fields(GpPosterior) if f.name != "design"})
 
 
-def predict_stack(stack: PosteriorStack,
+def predict_stack(stack: GpPosterior,
                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances of every member at a stack of points.
 
@@ -454,7 +427,7 @@ def lml_function(design: np.ndarray, y: np.ndarray):
     ``CholeskyFailure`` where that function does.
     """
     clipped = _clip(design)
-    z = _normalize_targets(y).z
+    z = _normalize_targets(y)[0]
     width = clipped.shape[1]
 
     def lml(log_theta: np.ndarray) -> float:
@@ -466,6 +439,6 @@ def lml_function(design: np.ndarray, y: np.ndarray):
 def log_marginal_likelihood(design: np.ndarray, y: np.ndarray,
                             theta: GpHyperParams) -> float:
     """Log marginal likelihood of the normalised targets under ``theta``."""
-    design, targets = _checked_data(design, y, theta.width)
-    return _lml(np.clip(design, 0.0, 1.0), targets.z, theta.lengthscales,
+    design, (z, _, _) = _checked_data(design, y, theta.width)
+    return _lml(np.clip(design, 0.0, 1.0), z, theta.lengthscales,
                 theta.amplitude, theta.noise_var, theta.warp_a, theta.warp_b)

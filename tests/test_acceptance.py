@@ -408,7 +408,7 @@ def _ensemble_log_likelihood(design, y, thetas, x_test, y_test):
     for theta in thetas:
         post = fit_posterior(design, y, theta)
         mean, var = predict_batch(post, x_test)
-        noisy = var + theta.noise_var * post.targets.scale**2
+        noisy = var + theta.noise_var * post.target_scale[0, 0]**2
         member_logpdfs.append(-0.5 * (np.log(2.0 * math.pi * noisy)
                                       + (y_test - mean) ** 2 / noisy))
     stacked = np.stack(member_logpdfs)

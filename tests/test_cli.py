@@ -75,6 +75,33 @@ class TestRun:
         second = capsys.readouterr().out
         assert first.strip() == second.strip()
 
+    def test_rerun_replays_the_journal_once(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path)
+        store_root = tmp_path / "store"
+        assert main(["run", str(path), "--store", str(store_root)]) == 0
+        calls = []
+        load_job = JobStore.load_job
+
+        def counting(self, job_id):
+            calls.append(job_id)
+            return load_job(self, job_id)
+
+        monkeypatch.setattr(JobStore, "load_job", counting)
+        assert main(["run", str(path), "--store", str(store_root)]) == 0
+        assert calls == ["cli-job"]
+
+    @pytest.mark.parametrize("stored", [b'{"job_id": "cli-job"}',
+                                        b'{"job_id": "cli-\xff"}'])
+    def test_rerun_with_bad_stored_job_file_fails(self, tmp_path, capsys,
+                                                  stored):
+        path = write_config(tmp_path)
+        store_root = tmp_path / "store"
+        assert main(["run", str(path), "--store", str(store_root)]) == 0
+        capsys.readouterr()
+        (store_root / "cli-job" / "job.json").write_bytes(stored)
+        assert main(["run", str(path), "--store", str(store_root)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"job_id": "x",\n  nope', encoding="utf-8")
@@ -182,6 +209,20 @@ class TestInspection:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert f"journal event {index + 1} " in err
+
+    @pytest.mark.parametrize("name", ["events.log", "job.json"])
+    def test_non_utf8_byte_fails_cleanly(self, finished_store, capsys, name):
+        # A byte that is not UTF-8 inside the first key of the journal's
+        # first line, or of job.json, corrupts the job.
+        path = finished_store / "cli-job" / name
+        data = path.read_bytes()
+        path.write_bytes(data[:2] + b"\xff" + data[2:])
+        assert main(["list", "--store", str(finished_store)]) == 0
+        assert "cli-job\tunreadable" in capsys.readouterr().out
+        for command in ("describe", "stop", "export"):
+            assert main([command, "cli-job", "--store",
+                         str(finished_store)]) == 1
+            assert capsys.readouterr().err.startswith("error:")
 
     def test_stop_on_completed_is_noop(self, finished_store, capsys):
         assert main(["stop", "cli-job", "--store",
@@ -327,6 +368,21 @@ class TestExport:
         out = capsys.readouterr().out
         assert out.startswith("trial_id,")
         assert out.count("trial-") == 3
+
+    @pytest.mark.parametrize("target", ["missing-dir", "full-device"])
+    def test_export_to_unwritable_path_fails(self, tmp_path, capsys, target):
+        out_path = {"missing-dir": tmp_path / "missing" / "trials.csv",
+                    "full-device": Path("/dev/full")}[target]
+        if target == "full-device" and not out_path.exists():
+            pytest.skip("no /dev/full on this system")
+        path = write_config(tmp_path)
+        store_root = tmp_path / "store"
+        assert main(["run", str(path), "--store", str(store_root)]) == 0
+        capsys.readouterr()
+        assert main(["export", "cli-job", "--store", str(store_root),
+                     "--output", str(out_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: cannot write the export: ")
 
     def test_export_unknown_job_fails(self, tmp_path, capsys):
         JobStore(tmp_path / "store").close()

@@ -235,6 +235,30 @@ class TestJournal:
         assert [r.message.split(" (")[0] for r in caplog.records] == [
             "job job-a: discarding torn final journal line"]
 
+    def _write_non_utf8_line(self, store, index):
+        lines = [json.dumps(e).encode() for e in (
+            launched("trial-0001"), metric("trial-0001", 1, 2.5),
+            metric("trial-0001", 2, 2.0))]
+        lines[index] = lines[index][:2] + b"\xff" + lines[index][2:]
+        store.create_job(make_config(), EXECUTOR)
+        (store.job_dir("job-a") / "events.log").write_bytes(
+            b"\n".join(lines) + b"\n")
+
+    def test_non_utf8_middle_line_names_its_number(self, store):
+        self._write_non_utf8_line(store, 1)
+        with pytest.raises(CorruptStoreError,
+                           match="corrupt journal line 2 for job 'job-a'"):
+            store.read_events("job-a")
+
+    def test_non_utf8_final_line_is_dropped_with_a_warning(self, store,
+                                                          caplog):
+        self._write_non_utf8_line(store, 2)
+        with caplog.at_level(logging.WARNING, logger="tunekit.jobstore"):
+            assert store.read_events("job-a") == [
+                launched("trial-0001"), metric("trial-0001", 1, 2.5)]
+        assert [r.message.split(" (")[0] for r in caplog.records] == [
+            "job job-a: discarding torn final journal line"]
+
     def test_empty_journal(self, store):
         store.create_job(make_config(), EXECUTOR)
         assert store.read_events("job-a") == []
@@ -550,6 +574,14 @@ class TestLoadJob:
         (store.job_dir("job-a") / "job.json").write_text('{"job_id": "job-a"}')
         with pytest.raises(CorruptStoreError):
             store.load_job("job-a")
+
+    def test_non_utf8_job_json(self, store):
+        store.create_job(make_config(), EXECUTOR)
+        path = store.job_dir("job-a") / "job.json"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(CorruptStoreError, match="cannot read job.json"):
+            store.load_job("job-a")
+        assert store.list_jobs() == [("job-a", "unreadable")]
 
 
 class TestTrialSnapshots:

@@ -435,3 +435,48 @@ class TestPosteriorStack:
             stack_posteriors([a, b])
         with pytest.raises(ValueError):
             stack_posteriors([])
+
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_fit_returns_one_member(self, n):
+        rng = np.random.default_rng(18)
+        theta = dataclasses.replace(random_theta(rng, 3), noise_var=1e-2)
+        design = rng.random((n, 3))
+        y = rng.normal(size=n)
+        post = fit_posterior(design, y, theta)
+        np.testing.assert_array_equal(post.design, design)
+        for name in ("warp_a", "warp_b", "lengthscales"):
+            np.testing.assert_array_equal(getattr(post, name),
+                                          getattr(theta, name).reshape(1, 1, 3))
+        np.testing.assert_array_equal(post.amplitude, [[theta.amplitude]])
+        np.testing.assert_array_equal(post.target_mean,
+                                      [[y.mean() if n else 0.0]])
+        np.testing.assert_array_equal(post.target_scale,
+                                      [[y.std() if n else 1.0]])
+        assert post.scaled_design.shape == (1, n, 3)
+        assert post.alpha.shape == (1, n, 1)
+        assert post.chol_inv.shape == (1, n, n)
+        if n:
+            # chol_inv^T chol_inv inverts the noisy kernel matrix
+            k_noisy = (oracle_kernel(design, design, theta)
+                       + theta.noise_var * np.eye(n))
+            np.testing.assert_allclose(
+                post.chol_inv[0].T @ post.chol_inv[0] @ k_noisy, np.eye(n),
+                atol=1e-6)
+
+    def test_stack_of_one_equals_the_member(self):
+        rng = np.random.default_rng(19)
+        design = rng.random((7, 2))
+        post = fit_posterior(design, rng.normal(size=7), random_theta(rng, 2))
+        stack = stack_posteriors([post])
+        for field in dataclasses.fields(post):
+            np.testing.assert_array_equal(getattr(stack, field.name),
+                                          getattr(post, field.name))
+
+    def test_stack_keeps_the_first_members_design(self):
+        rng = np.random.default_rng(20)
+        theta = default_theta(2)
+        a = fit_posterior(rng.random((5, 2)), rng.normal(size=5), theta)
+        b = fit_posterior(rng.random((5, 2)), rng.normal(size=5), theta)
+        stack = stack_posteriors([a, b])
+        assert stack.design is a.design
+        assert stack.alpha.shape == (2, 5, 1)
