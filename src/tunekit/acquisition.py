@@ -24,8 +24,7 @@ from .sobol import MAX_DIMENSION, sobol_points
 from .space import Configuration, SearchSpace, decode, encode, sample_random
 # predict_batch is not called here; the name stays importable from this
 # module because bench/spans.py wraps it at this lookup site.
-from .surrogate import (GpPosterior, predict_batch,  # noqa: F401
-                        predict_stack, stack_posteriors)
+from .surrogate import GpPosterior, predict_batch, predict_stack  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -74,39 +73,30 @@ def expected_improvement(mean, variance, incumbent):
 class AcquisitionContext:
     """Everything the proposal search needs about the current model state.
 
-    ``posteriors`` is the fitted ensemble (equal weights), ``incumbent``
-    the best observed raw value in minimisation form, ``pending`` the
-    encoded points currently being evaluated, and ``space`` the search
-    space for snapping and fallback sampling.  The ensemble is stacked
-    once here (members must share the number of observations), so every
-    acquisition call scores all members in one pass.
+    ``posterior`` is the fitted ensemble, as ``fit_posterior`` returns it
+    (members weigh equally, and every acquisition call scores them all in
+    one pass), ``incumbent`` the best observed raw value in minimisation
+    form, ``pending`` the encoded points currently being evaluated, and
+    ``space`` the search space for snapping and fallback sampling.
+    ``pending_array`` holds ``pending`` as an ``(m, w)`` array.
     """
 
-    posteriors: tuple[GpPosterior, ...]
+    posterior: GpPosterior
     incumbent: float
     pending: tuple[tuple[float, ...], ...]
     space: SearchSpace
-    _pending_array: np.ndarray = field(init=False, repr=False, compare=False)
-    _stack: GpPosterior | None = field(init=False, repr=False, compare=False)
+    pending_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         width = self.space.encoded_width
         arr = (np.array(self.pending, dtype=float).reshape(-1, width)
                if self.pending else np.zeros((0, width)))
-        object.__setattr__(self, "_pending_array", arr)
-        stack = stack_posteriors(self.posteriors) if self.posteriors else None
-        object.__setattr__(self, "_stack", stack)
-
-    @property
-    def pending_array(self) -> np.ndarray:
-        return self._pending_array
+        object.__setattr__(self, "pending_array", arr)
 
 
 def acquisition_values(x: np.ndarray, ctx: AcquisitionContext) -> np.ndarray:
     """Ensemble-averaged expected improvement at a stack of encoded points."""
-    if ctx._stack is None:
-        raise ValueError("acquisition requires at least one fitted posterior")
-    mean, var = predict_stack(ctx._stack, x)
+    mean, var = predict_stack(ctx.posterior, x)
     return expected_improvement(mean, var, ctx.incumbent).mean(axis=0)
 
 
@@ -164,7 +154,7 @@ def _min_distance(x: np.ndarray, existing: np.ndarray) -> float:
 
 
 def _known_points(ctx: AcquisitionContext) -> np.ndarray:
-    return np.vstack([ctx.posteriors[0].design, ctx.pending_array])
+    return np.vstack([ctx.posterior.design, ctx.pending_array])
 
 
 def propose(ctx: AcquisitionContext, seed: int | np.random.SeedSequence) -> Configuration:
@@ -177,12 +167,12 @@ def propose(ctx: AcquisitionContext, seed: int | np.random.SeedSequence) -> Conf
     highest acquisition value (the first, on a tie).  Candidates within
     Euclidean distance 1e-6 of a pending or evaluated design point are
     discarded; if nothing survives, the best non-colliding anchor is
-    used, and as a last resort a random non-colliding sample; either
-    fallback logs a warning.
+    used, and as a last resort the first of 16 random samples that does
+    not collide.  Either fallback logs a warning.  When all 16 random
+    samples collide, the last is returned, a duplicate of a pending or
+    evaluated point, with one more warning.
     Deterministic for a fixed context and seed.
     """
-    if not ctx.posteriors:
-        raise ValueError("propose requires at least one fitted posterior")
     width = ctx.space.encoded_width
     n_anchor = min(2048, 512 * width)
     if width <= MAX_DIMENSION:
@@ -212,9 +202,11 @@ def propose(ctx: AcquisitionContext, seed: int | np.random.SeedSequence) -> Conf
     logger.warning("every anchor collides with a pending or evaluated "
                    "point; proposing a random sample")
     rng_seeds = np.random.SeedSequence(seed).spawn(_RANDOM_FALLBACK_TRIES)
-    config = None
     for sub in rng_seeds:
         config = sample_random(ctx.space, sub, 1)[0]
         if _min_distance(encode(config, ctx.space), known) >= _DUPLICATE_TOL:
             return config
+    logger.warning("all %d random samples collide with a pending or "
+                   "evaluated point; proposing a duplicate",
+                   _RANDOM_FALLBACK_TRIES)
     return config

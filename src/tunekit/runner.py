@@ -342,7 +342,8 @@ class ExternalExecutor(_PooledExecutor):
                 json.dumps(dict(config.values), indent=2) + "\n")
             proc = subprocess.Popen(
                 self._command_for(trial_dir, trial_id),
-                cwd=trial_dir, env=env, text=True, start_new_session=True,
+                cwd=trial_dir, env=env, text=True, encoding="utf-8",
+                errors="replace", start_new_session=True,
                 stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
             )
         except OSError as exc:

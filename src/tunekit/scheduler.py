@@ -63,7 +63,7 @@ from .space import (
 )
 from .sobol import MAX_DIMENSION, scrambled_sobol_points
 from .stopping import CompletedCurves, median_rule
-from .surrogate import CholeskyFailure, GpHyperParams, fit_posterior
+from .surrogate import GpHyperParams, fit_posterior
 
 logger = logging.getLogger(__name__)
 
@@ -160,19 +160,13 @@ def next_candidate(state: TuningJobState, config: TuningJobConfig,
     inference_seed = _derive_seed(seed, 1)
     propose_seed = _derive_seed(seed, 2)
     thetas = _sample_thetas(design, y, state.chain_log_theta, inference_seed)
-    posteriors = []
-    for theta in thetas:
-        try:
-            posteriors.append(fit_posterior(design, y, theta))
-        except CholeskyFailure:
-            continue
-    if not posteriors:
-        raise CholeskyFailure("no hyperparameter sample could be factorised")
-    if len(posteriors) < len(thetas):
+    posterior = fit_posterior(design, y, thetas)
+    kept = posterior.alpha.shape[0]
+    if kept < len(thetas):
         logger.warning("kept %d of %d hyperparameter samples: the others "
-                       "could not be factorised", len(posteriors), len(thetas))
+                       "could not be factorised", kept, len(thetas))
     ctx = AcquisitionContext(
-        posteriors=tuple(posteriors),
+        posterior=posterior,
         incumbent=float(np.min(y)),
         pending=tuple(tuple(t.encoded) for t in running),
         space=config.space,

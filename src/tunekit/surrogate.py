@@ -9,19 +9,22 @@ over the latent function value, i.e. the observation noise is not added
 back into predictive variances.
 
 Each GP step has one implementation, which jobs and the public functions
-share: ``_scaled`` (warp), ``_factor`` (Cholesky), ``_lml`` (behind both
-``lml_function`` and ``log_marginal_likelihood``) and ``predict_stack``
-(behind ``predict_batch`` and ``predict``, on ``GpPosterior``, the one
-fitted-posterior type, which ``stack_posteriors`` concatenates).
+share: ``_scaled`` (warp), ``_factor`` (noise, then Cholesky with
+jitter), ``_lml`` (behind both ``lml_function`` and
+``log_marginal_likelihood``) and ``predict_stack`` (behind
+``predict_batch`` and ``predict``).  ``fit_posterior`` fits a whole
+hyperparameter ensemble in one call and returns ``GpPosterior``, the one
+fitted-posterior type, with the member axis leading.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "CholeskyFailure",
@@ -36,7 +39,6 @@ __all__ = [
     "fit_posterior",
     "predict",
     "predict_batch",
-    "stack_posteriors",
     "predict_stack",
     "log_marginal_likelihood",
     "lml_function",
@@ -56,7 +58,8 @@ _STACK_BLOCK_ELEMENTS = 1 << 16
 
 # Double-precision LAPACK routines, called directly: the scipy.linalg
 # wrappers cost more than the factorisation itself at these sizes.
-_potrf, _trtrs = get_lapack_funcs(("potrf", "trtrs"), (np.empty(0),))
+_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"),
+                                         (np.empty(0),))
 
 
 class CholeskyFailure(RuntimeError):
@@ -154,8 +157,8 @@ class GpPosterior:
     """Fitted posterior of ``S`` ensemble members, the member axis leading.
 
     Holds what ``predict_stack`` reads, so one vectorised pass serves all
-    members.  ``fit_posterior`` returns ``S = 1``; ``stack_posteriors``
-    concatenates members.  Shapes: ``design``, the encoded design rows
+    members; ``fit_posterior`` builds it, one member per hyperparameter
+    sample that factorises.  Shapes: ``design``, the encoded design rows
     the members share, is ``(n, w)``; ``warp_a``, ``warp_b`` and
     ``lengthscales`` are ``(S, 1, w)``; ``amplitude``, ``target_mean``
     and ``target_scale`` are ``(S, 1)``; ``scaled_design``, the warped,
@@ -262,29 +265,29 @@ def _normalize_targets(y: np.ndarray) -> tuple[np.ndarray, float, float]:
     return (y - mean) / scale, mean, scale
 
 
-def _chol_with_jitter(k_noisy: np.ndarray, amplitude: float) -> np.ndarray:
-    """Lower Cholesky factor, retrying with geometrically growing jitter."""
-    chol, info = _potrf(k_noisy, lower=1)
+def _factor(k: np.ndarray, amplitude: float, noise_var: float) -> np.ndarray:
+    """Lower Cholesky factor of kernel matrix ``k`` plus observation noise.
+
+    Adds ``noise_var`` to the diagonal of ``k`` in place, then retries a
+    failed factorisation with jitter growing from ``1e-10 * amplitude``
+    tenfold per retry.
+    """
+    n = k.shape[0]
+    k.flat[::n + 1] += noise_var
+    chol, info = _potrf(k, lower=1)
     if info == 0:
         return chol
     jitter = 1e-10 * amplitude
-    eye = np.eye(k_noisy.shape[0])
+    eye = np.eye(n)
     for _ in range(_JITTER_RETRIES):
-        chol, info = _potrf(k_noisy + jitter * eye, lower=1)
+        chol, info = _potrf(k + jitter * eye, lower=1)
         if info == 0:
             return chol
         jitter *= 10.0
     raise CholeskyFailure(
-        f"kernel matrix of size {k_noisy.shape[0]} is not positive definite "
+        f"kernel matrix of size {n} is not positive definite "
         f"even with jitter up to {jitter / 10.0:g}"
     )
-
-
-def _factor(scaled: np.ndarray, amplitude, noise_var) -> np.ndarray:
-    """Lower Cholesky factor of the noisy kernel matrix of scaled inputs."""
-    k = _matern_from_scaled(scaled, scaled, amplitude)
-    k.flat[::k.shape[0] + 1] += noise_var
-    return _chol_with_jitter(k, amplitude)
 
 
 def _lml(clipped: np.ndarray, z: np.ndarray, lengthscales, amplitude,
@@ -293,7 +296,8 @@ def _lml(clipped: np.ndarray, z: np.ndarray, lengthscales, amplitude,
     n = z.shape[0]
     if n == 0:
         return 0.0
-    chol = _factor(_scaled(clipped, warp_a, warp_b, lengthscales), amplitude,
+    scaled = _scaled(clipped, warp_a, warp_b, lengthscales)
+    chol = _factor(_matern_from_scaled(scaled, scaled, amplitude), amplitude,
                    noise_var)
     v, _ = _trtrs(chol, z, lower=1)
     return float(-0.5 * (v @ v) - np.log(chol.diagonal()).sum()
@@ -314,11 +318,13 @@ def _checked_data(design, y, width: int):
 
 
 def fit_posterior(design: np.ndarray, y: np.ndarray,
-                  theta: GpHyperParams) -> GpPosterior:
-    """Factorise the model for a fixed hyperparameter setting.
+                  thetas: Sequence[GpHyperParams]) -> GpPosterior:
+    """Factorise the model under every hyperparameter sample at once.
 
-    Returns a one-member ``GpPosterior``, its inverse Cholesky factor
-    computed here, once.
+    All members are warped and their kernel matrices built in one
+    vectorised pass; each is then factorised on its own.  A sample whose
+    kernel matrix cannot be factorised is dropped, the others keep their
+    order, so the result has ``S <= len(thetas)`` members.
 
     Parameters
     ----------
@@ -327,36 +333,57 @@ def fit_posterior(design: np.ndarray, y: np.ndarray,
         the prior.
     y : numpy.ndarray
         Raw observed values, shape ``(n,)``.
-    theta : GpHyperParams
-        Hyperparameters with matching width.
+    thetas : sequence of GpHyperParams
+        The samples, all of width ``w``.
 
     Raises
     ------
+    ValueError
+        If ``thetas`` is empty or the data and widths disagree.
     CholeskyFailure
-        If the noisy kernel matrix cannot be factorised after jitter retries.
+        If no sample's noisy kernel matrix can be factorised after jitter
+        retries.
     """
-    design, (z, mean, scale) = _checked_data(design, y, theta.width)
-    scaled = _scaled(np.clip(design, 0.0, 1.0), theta.warp_a, theta.warp_b,
-                     theta.lengthscales)
-    chol = _factor(scaled, theta.amplitude, theta.noise_var)
-    alpha = cho_solve((chol, True), z, check_finite=False)
-    chol_inv = solve_triangular(chol, np.eye(design.shape[0]), lower=True,
-                                check_finite=False)
+    thetas = tuple(thetas)
+    if not thetas:
+        raise ValueError("fit_posterior needs at least one hyperparameter sample")
+    design, (z, mean, scale) = _checked_data(design, y, thetas[0].width)
+    n = design.shape[0]
+    warp_a, warp_b, lengthscales = (
+        np.stack([getattr(theta, name) for theta in thetas])[:, np.newaxis]
+        for name in ("warp_a", "warp_b", "lengthscales"))
+    amplitude = np.array([[theta.amplitude] for theta in thetas])
+    scaled = _scaled(np.clip(design, 0.0, 1.0), warp_a, warp_b, lengthscales)
+    kernels = _matern_from_scaled(scaled, scaled, amplitude[:, :, np.newaxis])
+    alpha = np.zeros((len(thetas), n, 1))
+    chol_inv = np.zeros((len(thetas), n, n))
+    eye = np.eye(n)
+    kept = []
+    for s, theta in enumerate(thetas):
+        try:
+            chol = _factor(kernels[s], theta.amplitude, theta.noise_var)
+        except CholeskyFailure:
+            continue
+        kept.append(s)
+        if n:  # the LAPACK solvers reject an empty system
+            alpha[s, :, 0] = _potrs(chol, z, lower=1)[0]
+            chol_inv[s] = _trtrs(chol, eye, lower=1)[0]
+    if not kept:
+        raise CholeskyFailure("no hyperparameter sample could be factorised")
     return GpPosterior(
-        design=design, warp_a=theta.warp_a.reshape(1, 1, -1),
-        warp_b=theta.warp_b.reshape(1, 1, -1),
-        lengthscales=theta.lengthscales.reshape(1, 1, -1),
-        amplitude=np.full((1, 1), theta.amplitude),
-        target_mean=np.full((1, 1), mean), target_scale=np.full((1, 1), scale),
-        scaled_design=scaled[np.newaxis], alpha=alpha[np.newaxis, :, np.newaxis],
-        chol_inv=chol_inv[np.newaxis])
+        design=design, warp_a=warp_a[kept], warp_b=warp_b[kept],
+        lengthscales=lengthscales[kept], amplitude=amplitude[kept],
+        target_mean=np.full((len(kept), 1), mean),
+        target_scale=np.full((len(kept), 1), scale),
+        scaled_design=scaled[kept], alpha=alpha[kept], chol_inv=chol_inv[kept])
 
 
 def predict_batch(post: GpPosterior, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance of the latent function at a stack of points.
 
-    ``post`` is a one-member posterior, as ``fit_posterior`` returns.
-    Returns raw-scale means and variances (the normalisation is undone).
+    ``post`` is a one-member posterior, as ``fit_posterior`` returns for
+    one sample; this is ``predict_stack``'s row for that member.  Returns
+    raw-scale means and variances (the normalisation is undone).
     Variances exclude the observation noise and are clamped at zero.
     """
     mean, var = predict_stack(post, x)
@@ -369,30 +396,13 @@ def predict(post: GpPosterior, x: np.ndarray) -> tuple[float, float]:
     return float(mean[0]), float(var[0])
 
 
-def stack_posteriors(posteriors) -> GpPosterior:
-    """Concatenate posteriors along the member axis for ``predict_stack``.
-
-    Members must have the same input width and number of observations;
-    they normally share the design and differ in hyperparameters.  The
-    result keeps the first member's ``design``.
-    """
-    posteriors = tuple(posteriors)
-    if not posteriors:
-        raise ValueError("cannot stack an empty ensemble")
-    shape = posteriors[0].scaled_design.shape[1:]
-    if any(post.scaled_design.shape[1:] != shape for post in posteriors):
-        raise ValueError("ensemble members differ in design shape")
-    return GpPosterior(design=posteriors[0].design, **{
-        f.name: np.concatenate([getattr(post, f.name) for post in posteriors])
-        for f in fields(GpPosterior) if f.name != "design"})
-
-
 def predict_stack(stack: GpPosterior,
                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances of every member at a stack of points.
 
     Returns two ``(S, m)`` arrays for ``m`` points; row ``s`` equals
-    ``predict_batch`` of member ``s`` up to rounding.  Points go through
+    ``predict_batch`` of a one-sample fit of member ``s``'s
+    hyperparameters, up to rounding.  Points go through
     in blocks so the ``(S, block, n)`` temporaries stay near
     ``_STACK_BLOCK_ELEMENTS`` entries.
     """

@@ -93,7 +93,7 @@ def test_gp_numerics_match_dense_oracle():
             warp_a=np.exp(rng.uniform(-0.8, 0.8, size=d)),
             warp_b=np.exp(rng.uniform(-0.8, 0.8, size=d)),
         )
-        post = fit_posterior(design, y, theta)
+        post = fit_posterior(design, y, [theta])
         for _ in range(5):
             q = rng.random(d)
             mean, var = predict(post, q)
@@ -406,7 +406,7 @@ def _unwarped_predict(design, y, theta, queries):
 def _ensemble_log_likelihood(design, y, thetas, x_test, y_test):
     member_logpdfs = []
     for theta in thetas:
-        post = fit_posterior(design, y, theta)
+        post = fit_posterior(design, y, [theta])
         mean, var = predict_batch(post, x_test)
         noisy = var + theta.noise_var * post.target_scale[0, 0]**2
         member_logpdfs.append(-0.5 * (np.log(2.0 * math.pi * noisy)
@@ -432,7 +432,7 @@ def test_warp_identity_and_free_warp_benefit():
             warp_b=np.ones(d),
         )
         queries = rng.random((8, d))
-        post = fit_posterior(design, y, theta)
+        post = fit_posterior(design, y, [theta])
         mean, var = predict_batch(post, queries)
         mean_ref, var_ref = _unwarped_predict(design, y, theta, queries)
         assert np.all(np.abs(mean - mean_ref)

@@ -7,6 +7,7 @@ representable configurations, stay deterministic per seed.
 """
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 
@@ -27,7 +28,8 @@ from tunekit.acquisition import (
 )
 from tunekit.sobol import sobol_points
 from tunekit.space import SearchSpace, categorical, continuous, decode, encode, integer, validate_value
-from tunekit.surrogate import GpHyperParams, fit_posterior, kernel_matrix, predict_batch
+from tunekit.surrogate import (GpHyperParams, GpPosterior, fit_posterior, kernel_matrix,
+                               predict_batch)
 
 PHI_0 = 1.0 / math.sqrt(2.0 * math.pi)  # standard normal density at 0
 
@@ -112,29 +114,36 @@ def make_context(seed: int = 0, n: int = 8, pending=(), k_posteriors: int = 1,
     width = space.encoded_width
     design = rng.random((n, width))
     y = np.sin(design[:, 0] * 5) + design[:, 1 % width]
-    posteriors = []
-    for i in range(k_posteriors):
-        theta = GpHyperParams(
+    thetas = [
+        GpHyperParams(
             lengthscales=np.full(width, 0.4 + 0.2 * i),
             amplitude=1.0 + 0.5 * i,
             noise_var=1e-4,
             warp_a=np.ones(width),
             warp_b=np.ones(width),
         )
-        posteriors.append(fit_posterior(design, y, theta))
+        for i in range(k_posteriors)
+    ]
     return AcquisitionContext(
-        posteriors=tuple(posteriors),
+        posterior=fit_posterior(design, y, thetas),
         incumbent=float(np.min(y)),
         pending=tuple(tuple(p) for p in pending),
         space=space,
     )
 
 
+def members(post: GpPosterior, index: list[int]) -> GpPosterior:
+    """The ensemble of ``post``'s members ``index``, in that order."""
+    return GpPosterior(design=post.design, **{
+        f.name: getattr(post, f.name)[index]
+        for f in dataclasses.fields(post) if f.name != "design"})
+
+
 class TestEnsemble:
     def test_duplicated_posterior_changes_nothing(self):
         one = make_context(0, k_posteriors=1)
         twice = AcquisitionContext(
-            posteriors=one.posteriors * 2, incumbent=one.incumbent,
+            posterior=members(one.posterior, [0, 0]), incumbent=one.incumbent,
             pending=(), space=one.space,
         )
         x = np.array([0.3, 0.6])
@@ -148,9 +157,10 @@ class TestEnsemble:
         singles = [
             acquisition_value(
                 x,
-                AcquisitionContext((p,), ctx.incumbent, (), ctx.space),
+                AcquisitionContext(members(ctx.posterior, [s]), ctx.incumbent,
+                                   (), ctx.space),
             )
-            for p in ctx.posteriors
+            for s in range(3)
         ]
         assert acquisition_value(x, ctx) == pytest.approx(np.mean(singles), rel=1e-10)
 
@@ -186,11 +196,12 @@ class TestEnsemble:
             warp_a=np.ones(2), warp_b=np.ones(2)))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(kernel_matrix(design, design, thetas[-1]))
-        posteriors = tuple(fit_posterior(design, y, t) for t in thetas)
-        ctx = AcquisitionContext(posteriors, float(np.min(y)), (), space)
+        ctx = AcquisitionContext(fit_posterior(design, y, thetas),
+                                 float(np.min(y)), (), space)
         xs = rng.random((40, 2))
-        per_member = [expected_improvement(*predict_batch(post, xs), ctx.incumbent)
-                      for post in posteriors]
+        per_member = [expected_improvement(
+            *predict_batch(fit_posterior(design, y, [t]), xs), ctx.incumbent)
+            for t in thetas]
         np.testing.assert_allclose(acquisition_values(xs, ctx),
                                    np.mean(per_member, axis=0), rtol=1e-10)
 
@@ -210,9 +221,8 @@ def _record_call_sizes(monkeypatch) -> list[int]:
 class TestPropose:
     def test_requires_posterior(self):
         space = SearchSpace([continuous("x", 0.0, 1.0)])
-        ctx = AcquisitionContext((), 0.0, (), space)
-        with pytest.raises(ValueError):
-            propose(ctx, 0)
+        with pytest.raises(TypeError):
+            AcquisitionContext(incumbent=0.0, pending=(), space=space)
 
     def test_deterministic(self):
         ctx = make_context(4)
@@ -292,7 +302,7 @@ class TestPropose:
         argmax = grid[np.argmax(acquisition_values(grid, base))]
         refined = propose(base, 0)
         busy = encode(refined, space)
-        ctx = AcquisitionContext(base.posteriors, base.incumbent,
+        ctx = AcquisitionContext(base.posterior, base.incumbent,
                                  (tuple(busy),), space)
         alt = propose(ctx, 0)
         dist = abs(float(encode(alt, space)[0]) - float(busy[0]))
@@ -303,7 +313,7 @@ class TestPropose:
         ctx = make_context(22, n=10)
         config = propose(ctx, 3)
         vec = encode(config, ctx.space)
-        design = ctx.posteriors[0].design
+        design = ctx.posterior.design
         dists = np.linalg.norm(design - vec, axis=1)
         assert dists.min() >= 1e-6
 
@@ -314,8 +324,8 @@ class TestPropose:
         space = SearchSpace([integer("n", 0, 2)])
         design = np.array([[0.0], [0.5], [1.0]])
         y = np.array([1.0, 0.0, 2.0])
-        post = fit_posterior(design, y, GpHyperParams.default(1))
-        ctx = AcquisitionContext((post,), 0.0, (), space)
+        post = fit_posterior(design, y, [GpHyperParams.default(1)])
+        ctx = AcquisitionContext(post, 0.0, (), space)
         config = propose(ctx, 0)
         assert config["n"] in (0, 1, 2)
 
@@ -327,7 +337,7 @@ class TestPropose:
         pending: list[tuple[float, ...]] = []
         with caplog.at_level(logging.WARNING, logger="tunekit.acquisition"):
             for _ in range(6):
-                ctx = AcquisitionContext(base.posteriors, base.incumbent,
+                ctx = AcquisitionContext(base.posterior, base.incumbent,
                                          tuple(pending), base.space)
                 config = propose(ctx, 0)
                 if caplog.records:
@@ -342,13 +352,28 @@ class TestPropose:
         space = SearchSpace([integer("n", 0, 2)])
         design = np.array([[0.0], [0.5], [1.0]])
         post = fit_posterior(design, np.array([1.0, 0.0, 2.0]),
-                             GpHyperParams.default(1))
-        ctx = AcquisitionContext((post,), 0.0, (), space)
+                             [GpHyperParams.default(1)])
+        ctx = AcquisitionContext(post, 0.0, (), space)
         with caplog.at_level(logging.WARNING, logger="tunekit.acquisition"):
             propose(ctx, 0)
         assert [r.message for r in caplog.records] == [
             "every anchor collides with a pending or evaluated point; "
-            "proposing a random sample"]
+            "proposing a random sample",
+            "all 16 random samples collide with a pending or evaluated "
+            "point; proposing a duplicate"]
+
+    def test_duplicate_proposal_warns(self, caplog):
+        # both categories are evaluated, so every proposal is a duplicate
+        space = SearchSpace([categorical("opt", ("a", "b"))])
+        design = np.array([encode({"opt": "a"}, space),
+                           encode({"opt": "b"}, space)])
+        post = fit_posterior(design, np.array([1.0, 0.0]),
+                             [GpHyperParams.default(design.shape[1])])
+        ctx = AcquisitionContext(post, 0.0, (), space)
+        with caplog.at_level(logging.WARNING, logger="tunekit.acquisition"):
+            config = propose(ctx, 0)
+        assert config["opt"] in ("a", "b")
+        assert "proposing a duplicate" in caplog.records[-1].message
 
     def test_pending_tuple_not_mutated(self):
         pending = ((0.5, 0.5),)

@@ -304,6 +304,15 @@ print("tuner-metric name=loss iteration=1 value=0.5", flush=True)
 time.sleep(60)
 """
 
+CHILD_NON_UTF8 = """\
+import sys
+out = sys.stdout.buffer
+out.write(b"progress \\xff\\n")
+out.write(b"x" * {padding} + b"\\n")
+out.write(b"tuner-metric name=loss iteration=1 value=0.5\\n")
+out.flush()
+"""
+
 CHILD_CHATTY_FOREVER = """\
 import itertools, time
 for r in itertools.count(1):
@@ -384,6 +393,17 @@ class TestExternalExecutor:
         assert sink.last.reason == "protocol_violation"
         # but the non-objective metric is still forwarded
         assert len(sink.metrics("aux")) == 1
+
+    @pytest.mark.parametrize("padding", [0, 200_000])
+    def test_non_utf8_output_is_tolerated(self, child_script, tmp_path,
+                                          padding):
+        # a strict decoder would kill the reader thread: the trial then
+        # misses its metric line, or, with the pipe left full, hangs
+        # until the timeout
+        script = child_script(CHILD_NON_UTF8, padding=padding)
+        sink = run_external([sys.executable, script], tmp_path, timeout=10.0)
+        assert sink.last.kind == "completed"
+        assert [e.value for e in sink.metrics("loss")] == [0.5]
 
     def test_timeout_kills_child(self, child_script, tmp_path):
         script = child_script(CHILD_SLEEPER)

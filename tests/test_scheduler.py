@@ -1,6 +1,7 @@
 """Scheduler: candidate selection, event handling, warm start, and full jobs."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -48,7 +49,6 @@ from tunekit.space import (
 )
 from tunekit.sobol import scrambled_sobol_points
 from tunekit.stopping import QUORUM, MetricCurve
-from tunekit.surrogate import CholeskyFailure
 
 BRANIN_SPACE = SearchSpace([
     continuous("x1", -5.0, 10.0),
@@ -600,20 +600,25 @@ class TestNextCandidate:
         assert "starting a cold chain" in caplog.text
 
     def test_dropped_ensemble_members_are_reported(self, monkeypatch, caplog):
-        fit = scheduler.fit_posterior
-        calls = []
+        fit, propose = scheduler.fit_posterior, scheduler.propose
+        members = []
 
-        def first_fails(design, y, theta):
-            calls.append(theta)
-            if len(calls) == 1:
-                raise CholeskyFailure("forced")
-            return fit(design, y, theta)
+        def first_fails(design, y, thetas):
+            # a negative amplitude makes the first kernel matrix
+            # negative definite, so the fit drops that member
+            broken = dataclasses.replace(thetas[0], amplitude=-1.0)
+            return fit(design, y, [broken, *thetas[1:]])
+
+        def counting_propose(ctx, seed):
+            members.append(ctx.posterior.alpha.shape[0])
+            return propose(ctx, seed)
 
         monkeypatch.setattr(scheduler, "fit_posterior", first_fails)
+        monkeypatch.setattr(scheduler, "propose", counting_propose)
         config = make_config(strategy="bayesian")
         with caplog.at_level(logging.WARNING, logger="tunekit.scheduler"):
             next_candidate(self._warm_state(config, 6), config, seed=11)
-        assert len(calls) == 10
+        assert members == [9]
         assert "kept 9 of 10 hyperparameter samples" in caplog.text
 
 

@@ -30,7 +30,6 @@ from tunekit.surrogate import (
     predict,
     predict_batch,
     predict_stack,
-    stack_posteriors,
 )
 
 
@@ -186,7 +185,7 @@ class TestPosterior:
             design = rng.random((n, d))
             y = rng.normal(size=n)
             theta = random_theta(rng, d)
-            post = fit_posterior(design, y, theta)
+            post = fit_posterior(design, y, [theta])
             for _ in range(3):
                 x = rng.random(d)
                 mu, var = predict(post, x)
@@ -195,7 +194,7 @@ class TestPosterior:
                 assert var == pytest.approx(var_ref, rel=1e-8, abs=1e-8)
 
     def test_empty_design_gives_prior(self):
-        post = fit_posterior(np.empty((0, 2)), np.empty(0), default_theta(2))
+        post = fit_posterior(np.empty((0, 2)), np.empty(0), [default_theta(2)])
         mu, var = predict(post, np.array([0.3, 0.7]))
         assert mu == 0.0
         assert var == pytest.approx(1.0)
@@ -204,7 +203,7 @@ class TestPosterior:
         # one observation: normalized target is 0, so the posterior mean
         # must equal the raw target at the training point
         design = np.array([[0.4]])
-        post = fit_posterior(design, np.array([3.25]), default_theta(1))
+        post = fit_posterior(design, np.array([3.25]), [default_theta(1)])
         mu, var = predict(post, np.array([0.4]))
         assert mu == pytest.approx(3.25, abs=1e-9)
         assert var < 2e-3
@@ -217,7 +216,7 @@ class TestPosterior:
             lengthscales=np.array([0.4, 0.4]), amplitude=1.5, noise_var=1e-8,
             warp_a=np.ones(2), warp_b=np.ones(2),
         )
-        post = fit_posterior(design, y, theta)
+        post = fit_posterior(design, y, [theta])
         mus, variances = predict_batch(post, design)
         np.testing.assert_allclose(mus, y, atol=1e-4)
         assert np.all(variances >= 0.0)
@@ -228,8 +227,8 @@ class TestPosterior:
         y = rng.normal(size=10)
         theta = random_theta(rng, 2)
         x = rng.random((5, 2))
-        mu_a, var_a = predict_batch(fit_posterior(design, y, theta), x)
-        mu_b, var_b = predict_batch(fit_posterior(design, y + 100.0, theta), x)
+        mu_a, var_a = predict_batch(fit_posterior(design, y, [theta]), x)
+        mu_b, var_b = predict_batch(fit_posterior(design, y + 100.0, [theta]), x)
         np.testing.assert_allclose(mu_b, mu_a + 100.0, rtol=1e-9, atol=1e-7)
         np.testing.assert_allclose(var_b, var_a, rtol=1e-9, atol=1e-9)
 
@@ -237,7 +236,7 @@ class TestPosterior:
         rng = np.random.default_rng(7)
         design = np.vstack([rng.random((5, 1))] * 4)  # heavy duplication
         y = np.tile(rng.normal(size=5), 4)
-        post = fit_posterior(design, y, default_theta(1))
+        post = fit_posterior(design, y, [default_theta(1)])
         _, variances = predict_batch(post, rng.random((50, 1)))
         assert np.all(variances >= 0.0)
 
@@ -252,23 +251,19 @@ class TestPosterior:
         )
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(kernel_matrix(design, design, theta))
-        post = fit_posterior(design, y, theta)
+        post = fit_posterior(design, y, [theta])
         mu, _ = predict(post, np.array([0.5]))
         assert math.isfinite(mu)
 
     def test_unfactorable_matrix_raises(self):
         # an indefinite matrix stays indefinite under the bounded jitter
         # escalation, so the factorization must give up explicitly
-        from tunekit.surrogate import _chol_with_jitter
-
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(CholeskyFailure):
-            _chol_with_jitter(indefinite, 1.0)
+            surrogate._factor(indefinite, 1.0, 0.0)
 
     def test_jitter_rescues_rank_deficient_matrix(self):
-        from tunekit.surrogate import _chol_with_jitter
-
-        chol = _chol_with_jitter(np.ones((3, 3)), 1.0)
+        chol = surrogate._factor(np.ones((3, 3)), 1.0, 0.0)
         assert np.all(np.isfinite(chol))
 
     def test_batch_agrees_with_scalar(self):
@@ -276,7 +271,7 @@ class TestPosterior:
         design = rng.random((12, 3))
         y = rng.normal(size=12)
         theta = random_theta(rng, 3)
-        post = fit_posterior(design, y, theta)
+        post = fit_posterior(design, y, [theta])
         x = rng.random((6, 3))
         mus, variances = predict_batch(post, x)
         for i in range(6):
@@ -390,13 +385,12 @@ class TestPosteriorStack:
         rng = np.random.default_rng(15)
         design = rng.random((9, 3))
         y = rng.normal(size=9)
-        posteriors = [fit_posterior(design, y, random_theta(rng, 3))
-                      for _ in range(4)]
+        thetas = [random_theta(rng, 3) for _ in range(4)]
         x = rng.random((30, 3))
-        means, variances = predict_stack(stack_posteriors(posteriors), x)
+        means, variances = predict_stack(fit_posterior(design, y, thetas), x)
         assert means.shape == variances.shape == (4, 30)
-        for s, post in enumerate(posteriors):
-            mu, var = predict_batch(post, x)
+        for s, theta in enumerate(thetas):
+            mu, var = predict_batch(fit_posterior(design, y, [theta]), x)
             np.testing.assert_allclose(means[s], mu, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(variances[s], var, rtol=1e-8, atol=1e-12)
 
@@ -407,9 +401,8 @@ class TestPosteriorStack:
         rng = np.random.default_rng(16)
         design = rng.random((40, 1))
         y = rng.normal(size=40)
-        stack = stack_posteriors([
-            fit_posterior(design, y, dataclasses.replace(
-                random_theta(rng, 1), noise_var=1e-2))
+        stack = fit_posterior(design, y, [
+            dataclasses.replace(random_theta(rng, 1), noise_var=1e-2)
             for _ in range(10)])
         x = rng.random((500, 1))
         means, variances = predict_stack(stack, x)
@@ -418,23 +411,23 @@ class TestPosteriorStack:
         np.testing.assert_allclose(means, one_mean, rtol=1e-10, atol=1e-14)
         np.testing.assert_allclose(variances, one_var, rtol=1e-10, atol=1e-14)
 
-    def test_empty_design_gives_prior(self):
+    def test_empty_design_gives_prior(self, capfd):
+        # LAPACK's solvers print to stderr when handed an empty system,
+        # so the fit must not call them at n = 0
         theta = default_theta(2)
-        post = fit_posterior(np.empty((0, 2)), np.empty(0), theta)
-        means, variances = predict_stack(stack_posteriors([post, post]),
-                                         np.full((3, 2), 0.5))
+        post = fit_posterior(np.empty((0, 2)), np.empty(0), [theta, theta])
+        means, variances = predict_stack(post, np.full((3, 2), 0.5))
         np.testing.assert_array_equal(means, 0.0)
         np.testing.assert_array_equal(variances, theta.amplitude)
+        assert capfd.readouterr().err == ""
 
-    def test_members_must_share_the_design_size(self):
+    def test_empty_or_mixed_width_samples_raise(self):
         rng = np.random.default_rng(17)
-        theta = default_theta(1)
-        a = fit_posterior(rng.random((3, 1)), rng.normal(size=3), theta)
-        b = fit_posterior(rng.random((4, 1)), rng.normal(size=4), theta)
+        design, y = rng.random((3, 1)), rng.normal(size=3)
         with pytest.raises(ValueError):
-            stack_posteriors([a, b])
+            fit_posterior(design, y, [])
         with pytest.raises(ValueError):
-            stack_posteriors([])
+            fit_posterior(design, y, [default_theta(1), default_theta(2)])
 
     @pytest.mark.parametrize("n", [0, 6])
     def test_fit_returns_one_member(self, n):
@@ -442,7 +435,7 @@ class TestPosteriorStack:
         theta = dataclasses.replace(random_theta(rng, 3), noise_var=1e-2)
         design = rng.random((n, 3))
         y = rng.normal(size=n)
-        post = fit_posterior(design, y, theta)
+        post = fit_posterior(design, y, [theta])
         np.testing.assert_array_equal(post.design, design)
         for name in ("warp_a", "warp_b", "lengthscales"):
             np.testing.assert_array_equal(getattr(post, name),
@@ -463,20 +456,41 @@ class TestPosteriorStack:
                 post.chol_inv[0].T @ post.chol_inv[0] @ k_noisy, np.eye(n),
                 atol=1e-6)
 
-    def test_stack_of_one_equals_the_member(self):
+    @pytest.mark.parametrize("width,n", [(2, 10), (8, 50), (3, 1)])
+    def test_ensemble_fit_equals_one_sample_fits(self, width, n):
         rng = np.random.default_rng(19)
-        design = rng.random((7, 2))
-        post = fit_posterior(design, rng.normal(size=7), random_theta(rng, 2))
-        stack = stack_posteriors([post])
+        design = rng.random((n, width))
+        y = rng.normal(size=n)
+        thetas = [random_theta(rng, width) for _ in range(5)]
+        post = fit_posterior(design, y, thetas)
+        singles = [fit_posterior(design, y, [theta]) for theta in thetas]
         for field in dataclasses.fields(post):
-            np.testing.assert_array_equal(getattr(stack, field.name),
-                                          getattr(post, field.name))
+            got = getattr(post, field.name)
+            if field.name == "design":
+                want = singles[0].design
+            else:
+                want = np.concatenate([getattr(one, field.name)
+                                       for one in singles])
+            assert np.array_equal(got, want), field.name
 
-    def test_stack_keeps_the_first_members_design(self):
+    def test_failed_member_is_dropped_in_order(self):
+        # a negative amplitude makes the kernel matrix negative definite,
+        # and its (negative) jitter cannot rescue it
         rng = np.random.default_rng(20)
-        theta = default_theta(2)
-        a = fit_posterior(rng.random((5, 2)), rng.normal(size=5), theta)
-        b = fit_posterior(rng.random((5, 2)), rng.normal(size=5), theta)
-        stack = stack_posteriors([a, b])
-        assert stack.design is a.design
-        assert stack.alpha.shape == (2, 5, 1)
+        design = rng.random((6, 2))
+        y = rng.normal(size=6)
+        thetas = [random_theta(rng, 2) for _ in range(4)]
+        broken = dataclasses.replace(thetas[1], amplitude=-1.0)
+        post = fit_posterior(design, y, [thetas[0], broken, *thetas[2:]])
+        kept = fit_posterior(design, y, [thetas[0], *thetas[2:]])
+        assert post.alpha.shape[0] == 3
+        for field in dataclasses.fields(post):
+            assert np.array_equal(getattr(post, field.name),
+                                  getattr(kept, field.name)), field.name
+
+    def test_every_member_failing_raises(self):
+        rng = np.random.default_rng(21)
+        broken = dataclasses.replace(default_theta(2), amplitude=-1.0)
+        with pytest.raises(CholeskyFailure):
+            fit_posterior(rng.random((4, 2)), rng.normal(size=4),
+                          [broken, broken])

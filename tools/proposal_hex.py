@@ -1,0 +1,91 @@
+"""Write the criterion-4 journals with every float as hex, to diff proposals.
+
+    python tools/proposal_hex.py --trials 50 --out proposals.hex
+
+Runs the Bayesian Branin jobs of acceptance criterion 4 (``noise_std``
+0.5, one slot) for seeds 1000 and 1001 in process, each in a fresh
+temporary store, and writes every job's journal to ``--out``: a
+``# job <id>`` line, then one JSON event per line with ``ts`` removed
+and every float written as ``float.hex``.  Two checkouts whose jobs
+propose the same configurations bit for bit write identical files, so
+``diff`` of two outputs is the bit-identity check for a change that
+must not alter proposals.
+
+tunekit is imported from the ``src/`` directory next to this one.
+OpenBLAS runs on one thread, set before NumPy is imported, because a
+threaded BLAS may sum in a different order and round differently.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import argparse
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from tunekit.jobs import ObjectiveSpec, TuningJobConfig
+from tunekit.jobstore import JobStore
+from tunekit.runner import ExecutorSpec, make_executor
+from tunekit.scheduler import run_job
+from tunekit.space import SearchSpace, continuous
+
+SEEDS = (1000, 1001)
+BRANIN_SPACE = SearchSpace([continuous("x1", -5.0, 10.0),
+                            continuous("x2", 0.0, 15.0)])
+SPEC = ExecutorSpec(kind="builtin", benchmark="branin", noise_std=0.5)
+
+
+def as_hex(value):
+    """``value`` with every float, also inside lists and dicts, as hex."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: as_hex(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [as_hex(item) for item in value]
+    return value
+
+
+def journal_lines(seed: int, trials: int) -> list[str]:
+    """The hex journal of one criterion-4 Bayesian job."""
+    config = TuningJobConfig(
+        job_id=f"acc4-bo-{seed}", space=BRANIN_SPACE,
+        objective=ObjectiveSpec("loss"), strategy="bayesian",
+        max_trials=trials, max_parallel=1, seed=seed)
+    with tempfile.TemporaryDirectory(prefix="proposal-hex-") as root:
+        store = JobStore(root)
+        executor = make_executor(SPEC, "loss", 1)
+        try:
+            run_job(config, store, executor)
+            events = store.read_events(config.job_id)
+        finally:
+            executor.shutdown()
+            store.close()
+    lines = [f"# job {config.job_id}"]
+    for event in events:
+        event.pop("ts", None)
+        lines.append(json.dumps(as_hex(event)))
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--trials", type=int, default=50,
+                        help="trials per job (default 50, as criterion 4)")
+    parser.add_argument("--out", required=True, type=Path,
+                        help="file to write the hex journals to")
+    args = parser.parse_args(argv)
+    lines = [line for seed in SEEDS for line in journal_lines(seed, args.trials)]
+    args.out.write_text("\n".join(lines) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
