@@ -8,6 +8,10 @@ configurations, and drops anything that collides with a pending or
 already-evaluated design point.  The compass search scores the probes of
 all its starts in one acquisition call per round, and the survivors are
 scored in one more.
+
+The normal CDF takes ``erf`` from ``scipy.special``, imported inside
+``_norm_cdf``: SciPy loads at the first proposal that scores a point,
+not at ``import tunekit``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .sobol import MAX_DIMENSION, sobol_points
 from .space import Configuration, SearchSpace, decode, encode, sample_random
@@ -49,6 +52,8 @@ def _norm_pdf(x: np.ndarray) -> np.ndarray:
 
 
 def _norm_cdf(x: np.ndarray) -> np.ndarray:
+    from scipy.special import erf  # loaded at the first model proposal
+
     return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
 
 

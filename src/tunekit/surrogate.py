@@ -15,6 +15,12 @@ jitter), ``_lml`` (behind both ``lml_function`` and
 ``predict_batch`` and ``predict``).  ``fit_posterior`` fits a whole
 hyperparameter ensemble in one call and returns ``GpPosterior``, the one
 fitted-posterior type, with the member axis leading.
+
+The Cholesky factorisation and the triangular solves call LAPACK's
+``potrf``, ``potrs`` and ``trtrs`` directly, as ``_potrf``, ``_potrs``
+and ``_trtrs``.  Each name is resolved through ``scipy.linalg`` on its
+first call and then rebound to the routine itself, so importing this
+module does not load SciPy and later calls pay no lookup.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "CholeskyFailure",
@@ -56,10 +61,22 @@ _JITTER_RETRIES = 5
 _STD_FLOOR = 1e-12
 _STACK_BLOCK_ELEMENTS = 1 << 16
 
+
+def _lapack_on_first_call(name: str):
+    """Stand-in for ``_<name>`` that rebinds it to the routine, then calls it."""
+    def first_call(*args, **kwargs):
+        from scipy.linalg import get_lapack_funcs
+
+        routine, = get_lapack_funcs((name,), (np.empty(0),))
+        globals()[f"_{name}"] = routine
+        return routine(*args, **kwargs)
+
+    return first_call
+
+
 # Double-precision LAPACK routines, called directly: the scipy.linalg
 # wrappers cost more than the factorisation itself at these sizes.
-_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"),
-                                         (np.empty(0),))
+_potrf, _potrs, _trtrs = map(_lapack_on_first_call, ("potrf", "potrs", "trtrs"))
 
 
 class CholeskyFailure(RuntimeError):
@@ -324,7 +341,9 @@ def fit_posterior(design: np.ndarray, y: np.ndarray,
     All members are warped and their kernel matrices built in one
     vectorised pass; each is then factorised on its own.  A sample whose
     kernel matrix cannot be factorised is dropped, the others keep their
-    order, so the result has ``S <= len(thetas)`` members.
+    order, so the result has ``S <= len(thetas)`` members.  A sample whose
+    factor has a non-finite diagonal, as a NaN kernel matrix gives, is
+    dropped the same way.
 
     Parameters
     ----------
@@ -341,8 +360,8 @@ def fit_posterior(design: np.ndarray, y: np.ndarray,
     ValueError
         If ``thetas`` is empty or the data and widths disagree.
     CholeskyFailure
-        If no sample's noisy kernel matrix can be factorised after jitter
-        retries.
+        If no sample's noisy kernel matrix has a finite factorisation
+        after jitter retries.
     """
     thetas = tuple(thetas)
     if not thetas:
@@ -364,6 +383,8 @@ def fit_posterior(design: np.ndarray, y: np.ndarray,
             chol = _factor(kernels[s], theta.amplitude, theta.noise_var)
         except CholeskyFailure:
             continue
+        if not np.isfinite(chol.diagonal()).all():
+            continue  # LAPACK can report success on a NaN matrix
         kept.append(s)
         if n:  # the LAPACK solvers reject an empty system
             alpha[s, :, 0] = _potrs(chol, z, lower=1)[0]

@@ -488,6 +488,28 @@ class TestPosteriorStack:
             assert np.array_equal(getattr(post, field.name),
                                   getattr(kept, field.name)), field.name
 
+    def test_nan_member_is_dropped_in_order(self):
+        # LAPACK's dpotrf can report success on a NaN kernel matrix, so
+        # only the check on the factor's diagonal drops this member
+        rng = np.random.default_rng(22)
+        design = rng.random((6, 2))
+        y = rng.normal(size=6)
+        thetas = [random_theta(rng, 2) for _ in range(4)]
+        broken = dataclasses.replace(thetas[2], amplitude=math.nan)
+        post = fit_posterior(design, y, [*thetas[:2], broken, thetas[3]])
+        kept = fit_posterior(design, y, [*thetas[:2], thetas[3]])
+        assert post.alpha.shape[0] == 3
+        for field in dataclasses.fields(post):
+            assert np.array_equal(getattr(post, field.name),
+                                  getattr(kept, field.name)), field.name
+
+    def test_every_member_nan_raises(self):
+        rng = np.random.default_rng(23)
+        broken = dataclasses.replace(default_theta(2), amplitude=math.nan)
+        with pytest.raises(CholeskyFailure):
+            fit_posterior(rng.random((4, 2)), rng.normal(size=4),
+                          [broken, broken])
+
     def test_every_member_failing_raises(self):
         rng = np.random.default_rng(21)
         broken = dataclasses.replace(default_theta(2), amplitude=-1.0)
