@@ -135,7 +135,7 @@ def cmd_describe(args: argparse.Namespace) -> int:
 def cmd_stop(args: argparse.Namespace) -> int:
     store = _store_from(args)
     try:
-        if store.load_job(args.job_id)[2].status == "completed":
+        if store.job_status(args.job_id) == "completed":
             print(f"job {args.job_id} is already completed; nothing to stop")
             return EXIT_OK
         store.set_status(args.job_id, "stopping")

@@ -13,7 +13,11 @@ state agree.  That includes the hyperparameter chain: a model-phase
 ``trial_launched`` carries ``"proposal": {"log_theta": [...]}``, where the
 next model proposal's chain starts.  After creation only ``tunekit stop``
 writes job.json, adding ``"status": "stopping"``; it writes a uniquely
-named temp file and renames it, so readers never see a half-written one.
+named temp file and renames it, so readers never see a half-written one
+and each write has a new inode.  The coordinator's stop check therefore
+parses job.json only when its (inode, mtime, size) changed.  ``list``
+and ``stop`` parse only the journal's ``job_status_changed`` lines
+(:meth:`JobStore.job_status`).
 
 Durability is group-committed.  :meth:`JobStore.append_event` encodes
 each line into a per-job buffer, and :meth:`JobStore.sync` writes the
@@ -163,6 +167,11 @@ class JobStore:
         self._pending: dict[str, list[str]] = {}
         # Jobs with lines written since their last fsync.
         self._unsynced: set[str] = set()
+        # Per job, for :meth:`read_status`: job.json's path, its
+        # (st_ino, st_mtime_ns, st_size) at the last parse, and the status
+        # that parse read.
+        self._status_keys: dict[str, tuple[Path, tuple[int, int, int],
+                                           str]] = {}
 
     # -- paths -------------------------------------------------------------
 
@@ -225,8 +234,46 @@ class JobStore:
             raise StoreError(f"cannot update status for {job_id!r}: {exc}") from exc
 
     def read_status(self, job_id: str) -> str:
-        """job.json's status: ``stopping`` once a stop was requested."""
-        return str(self.read_job_file(job_id).get("status", "created"))
+        """job.json's status: ``stopping`` once a stop was requested.
+
+        One ``stat`` per call; the file is parsed again only when its
+        (inode, mtime, size) differs from the last parse.  Every writer
+        replaces job.json by a rename, so each write has a new inode.
+        """
+        cached = self._status_keys.get(job_id)
+        path = self._job_json(job_id) if cached is None else cached[0]
+        try:
+            st = os.stat(path)
+        except FileNotFoundError as exc:
+            raise NotFoundError(
+                f"job {job_id!r} not found under {self.root}") from exc
+        except OSError as exc:
+            raise StoreError(f"cannot stat job.json for {job_id!r}: {exc}") from exc
+        key = (st.st_ino, st.st_mtime_ns, st.st_size)
+        if cached is not None and cached[1] == key:
+            return cached[2]
+        # Stat first, then parse: a write in between leaves the old key
+        # beside the new status, so the next call parses again rather
+        # than keeping a stale status.
+        status = str(self.read_job_file(job_id).get("status", "created"))
+        self._status_keys[job_id] = (path, key, status)
+        return status
+
+    def job_status(self, job_id: str) -> str:
+        """The status :meth:`load_job` reports, without a replay.
+
+        Only the journal lines that contain ``job_status_changed`` are
+        parsed: the status is the last status event among them, or
+        ``created`` when there is none.  A torn final line is skipped, as
+        :meth:`read_events` skips it; a status line that does not parse
+        anywhere else raises ``CorruptStoreError``.  Corruption in any
+        other line is left to :meth:`load_job`.  A ``stopping`` request in
+        job.json, read through :meth:`read_config`, overrides any status
+        but ``completed``.
+        """
+        request = self.read_config(job_id)[2]
+        return _with_stop_request(
+            _last_status(job_id, self._journal_bytes(job_id)), request)
 
     # -- events ------------------------------------------------------------
 
@@ -292,12 +339,14 @@ class JobStore:
         self._unsynced.discard(job_id)
 
     def close_job(self, job_id: str) -> None:
-        """Sync the job's journal, then close its handle.
+        """Sync the job's journal, then close its handle, and forget the
+        job's cached job.json key.
 
         A job run by the coordinator leaves lines pending only when it
         ended early, so a failed sync is logged rather than raised over
         the error being handled; the lines it could not write are lost.
         """
+        self._status_keys.pop(job_id, None)
         if job_id not in self._event_handles:
             return
         try:
@@ -320,6 +369,20 @@ class JobStore:
         """:meth:`close_job` every job with an open journal."""
         for job_id in list(self._event_handles):
             self.close_job(job_id)
+        self._status_keys.clear()
+
+    def _journal_bytes(self, job_id: str) -> bytes:
+        """events.log's bytes, then this store's unsynced lines."""
+        path = self._events_path(job_id)
+        if not path.is_file():
+            if not self.job_exists(job_id):
+                raise NotFoundError(f"job {job_id!r} not found under {self.root}")
+            return b""
+        try:
+            raw = path.read_bytes()
+        except OSError as exc:
+            raise StoreError(f"cannot read events.log: {exc}") from exc
+        return raw + "".join(self._pending.get(job_id, ())).encode("utf-8")
 
     def read_events(self, job_id: str) -> list[dict]:
         """All parseable journal entries, tolerating a torn final line.
@@ -327,16 +390,7 @@ class JobStore:
         The entries are the journal's, then this store's unsynced ones.
         A line that is not UTF-8 is unparseable like any other bad line.
         """
-        path = self._events_path(job_id)
-        if not path.is_file():
-            if not self.job_exists(job_id):
-                raise NotFoundError(f"job {job_id!r} not found under {self.root}")
-            return []
-        try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            raise StoreError(f"cannot read events.log: {exc}") from exc
-        raw += "".join(self._pending.get(job_id, ())).encode("utf-8")
+        raw = self._journal_bytes(job_id)
         if not raw:
             return []
         if raw.endswith(b"\n"):
@@ -394,14 +448,14 @@ class JobStore:
         """
         config, executor, request = self.read_config(job_id)
         state = replay_events(config, self.read_events(job_id))
-        if request == "stopping" and state.status != "completed":
-            state.status = request
+        state.status = _with_stop_request(state.status, request)
         return config, executor, state
 
     # -- read-only views ---------------------------------------------------
 
     def list_jobs(self) -> list[tuple[str, str]]:
-        """(job_id, :meth:`load_job` status) for every job under the root."""
+        """(job_id, :meth:`job_status`) for every job under the root, or
+        ``unreadable`` where that raises.  No journal is replayed."""
         out = []
         if not self.root.is_dir():
             return out
@@ -409,7 +463,7 @@ class JobStore:
             if not self.job_exists(entry.name):
                 continue
             try:
-                out.append((entry.name, self.load_job(entry.name)[2].status))
+                out.append((entry.name, self.job_status(entry.name)))
             except StoreError:
                 out.append((entry.name, "unreadable"))
         return out
@@ -434,6 +488,49 @@ class JobStore:
             "best_value": best.final_value if best else None,
             "best_config": dict(best.config.values) if best else None,
         }
+
+
+def _with_stop_request(status: str, request: str) -> str:
+    """A journal status with job.json's request on top: ``stopping``
+    overrides any status but ``completed``."""
+    if request == "stopping" and status != "completed":
+        return request
+    return status
+
+
+def _last_status(job_id: str, raw: bytes) -> str:
+    """The status of the journal's last ``job_status_changed`` event.
+
+    ``raw`` is split into lines as :meth:`JobStore.read_events` splits it,
+    but only the lines holding ``job_status_changed`` are parsed.
+    """
+    if raw.endswith(b"\n"):
+        raw = raw[:-1]
+    final = raw.rfind(b"\n") + 1
+    status = "created"
+    hit = raw.find(b"job_status_changed")
+    while hit >= 0:
+        start = raw.rfind(b"\n", 0, hit) + 1
+        stop = raw.find(b"\n", hit)
+        if stop < 0:
+            stop = len(raw)
+        hit = raw.find(b"job_status_changed", stop)
+        try:
+            event = json.loads(raw[start:stop].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            if start == final:
+                break
+            number = raw.count(b"\n", 0, start) + 1
+            raise CorruptStoreError(
+                f"corrupt journal line {number} for job {job_id!r}") from exc
+        if type(event) is dict and event.get("type") == "job_status_changed":
+            if "status" not in event:
+                number = raw.count(b"\n", 0, start) + 1
+                raise CorruptStoreError(
+                    f"journal line {number} for job {job_id!r} is a status "
+                    f"change without a status")
+            status = str(event["status"])
+    return status
 
 
 def _chain_log_theta(config: TuningJobConfig, proposal: dict) -> np.ndarray:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import tunekit
+from tunekit import jobstore
 from tunekit.cli import main
 from tunekit.jobs import ObjectiveSpec, TuningJobConfig, job_config_to_dict
 from tunekit.jobstore import JobStore, StoreError
@@ -306,6 +307,45 @@ class TestInspection:
         assert "status:     completed" in capsys.readouterr().out
         assert list((store_root / "cli-job").rglob("*.tmp")) == []
         control.close()
+
+    def test_stop_and_list_replay_no_journal(self, tmp_path, capsys,
+                                             monkeypatch):
+        root = tmp_path / "store"
+        store = JobStore(root)
+        executor = make_executor(EXECUTOR, "loss", 1)
+        try:
+            state = run_job(make_config(max_trials=200), store, executor)
+        finally:
+            executor.shutdown()
+            store.close()
+        assert state.terminal_count == 200
+
+        def replayed(*args, **kwargs):
+            raise AssertionError("the journal was replayed")
+
+        monkeypatch.setattr(JobStore, "read_events", replayed)
+        monkeypatch.setattr(jobstore, "replay_events", replayed)
+        assert main(["stop", "cli-job", "--store", str(root)]) == 0
+        assert "already completed" in capsys.readouterr().out
+        assert main(["list", "--store", str(root)]) == 0
+        assert capsys.readouterr().out == "cli-job\tcompleted\n"
+
+    def test_journal_corrupt_outside_status_lines(self, finished_store,
+                                                  capsys):
+        # list and stop read only the status lines; describe replays.
+        events = finished_store / "cli-job" / "events.log"
+        lines = events.read_text(encoding="utf-8").splitlines(keepends=True)
+        index = next(i for i, line in enumerate(lines)
+                     if json.loads(line)["type"] == "metric_reported")
+        lines[index] = "garbage line\n"
+        events.write_text("".join(lines), encoding="utf-8")
+        assert main(["list", "--store", str(finished_store)]) == 0
+        assert capsys.readouterr().out == "cli-job\tcompleted\n"
+        assert main(["stop", "cli-job", "--store", str(finished_store)]) == 0
+        assert "already completed" in capsys.readouterr().out
+        assert main(["describe", "cli-job", "--store",
+                     str(finished_store)]) == 1
+        assert "corrupt journal line" in capsys.readouterr().err
 
     def test_stop_marks_created_job_stopping(self, tmp_path, capsys):
         store = JobStore(tmp_path / "store")

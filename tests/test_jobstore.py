@@ -584,6 +584,121 @@ class TestLoadJob:
         assert store.list_jobs() == [("job-a", "unreadable")]
 
 
+def status_event(status):
+    return {"type": "job_status_changed", "status": status}
+
+
+def running_job(store):
+    store.create_job(make_config(), EXECUTOR)
+    for event in (status_event("running"), launched("trial-0001"),
+                  metric("trial-0001", 1, 2.5)):
+        store.append_event("job-a", event)
+    store.sync("job-a")
+
+
+def completed_job(store):
+    running_job(store)
+    store.append_event("job-a", completed("trial-0001", 2.5))
+    store.append_event("job-a", status_event("completed"))
+    store.sync("job-a")
+
+
+def stop_requested(store):
+    running_job(store)
+    store.set_status("job-a", "stopping")
+
+
+def late_stop(store):
+    completed_job(store)
+    store.set_status("job-a", "stopping")
+
+
+def old_job_json_running(store):
+    # Older versions also kept the job status in job.json.
+    store.create_job(make_config(), EXECUTOR)
+    store.set_status("job-a", "running")
+
+
+def torn_final_status_line(store):
+    completed_job(store)
+    store.close()
+    path = store.job_dir("job-a") / "events.log"
+    data = path.read_bytes()
+    path.write_bytes(data[:data.rstrip(b"\n").rfind(b"\n") + 30])
+
+
+def unsynced_lines(store):
+    running_job(store)
+    store.append_event("job-a", completed("trial-0001", 2.5))
+    store.append_event("job-a", status_event("completed"))
+
+
+def status_word_in_a_value(store):
+    running_job(store)
+    store.append_event("job-a", {
+        "type": "trial_failed", "trial_id": "trial-0001",
+        "reason": "job_status_changed", "terminal": False})
+    store.sync("job-a")
+
+
+class TestJobStatus:
+    CASES = {
+        "created": (lambda store: store.create_job(make_config(), EXECUTOR),
+                    "created"),
+        "running": (running_job, "running"),
+        "stop_requested": (stop_requested, "stopping"),
+        "completed_with_a_late_stop": (late_stop, "completed"),
+        "old_job_json_running": (old_job_json_running, "created"),
+        "torn_final_status_line": (torn_final_status_line, "running"),
+        "unsynced_lines": (unsynced_lines, "completed"),
+        "status_word_in_a_value": (status_word_in_a_value, "running"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_agrees_with_load_job(self, store, case):
+        build, want = self.CASES[case]
+        build(store)
+        assert store.load_job("job-a")[2].status == want
+        assert store.job_status("job-a") == want
+        assert store.list_jobs() == [("job-a", want)]
+
+    def test_unsynced_lines_are_this_stores_own(self, store):
+        unsynced_lines(store)
+        reader = JobStore(store.root)
+        assert reader.job_status("job-a") == "running"
+        reader.close()
+
+    def test_corrupt_other_line_lists_the_scanned_status(self, store):
+        # The status lines still say what it is; describe and run report
+        # the corruption.
+        completed_job(store)
+        store.close()
+        path = store.job_dir("job-a") / "events.log"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = "garbage line\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(CorruptStoreError, match="corrupt journal line 3"):
+            store.load_job("job-a")
+        assert store.job_status("job-a") == "completed"
+        assert store.list_jobs() == [("job-a", "completed")]
+
+    @pytest.mark.parametrize("bad", [b'{"type":"job_status_changed","sta',
+                                     b'{"type":"job_status_changed"}',
+                                     b'{"\xfftype":"job_status_changed"}'])
+    def test_corrupt_status_line_is_unreadable(self, store, bad):
+        completed_job(store)
+        store.close()
+        path = store.job_dir("job-a") / "events.log"
+        lines = path.read_bytes().split(b"\n")
+        lines[0] = bad
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(CorruptStoreError):
+            store.load_job("job-a")
+        with pytest.raises(CorruptStoreError, match="journal line 1 "):
+            store.job_status("job-a")
+        assert store.list_jobs() == [("job-a", "unreadable")]
+
+
 class TestTrialSnapshots:
     def test_write_trial_snapshot(self, store):
         store.create_job(make_config(), EXECUTOR)

@@ -350,6 +350,41 @@ class StatusCountingStore(JobStore):
         return super().read_status(job_id)
 
 
+class ParseCountingStore(StatusCountingStore):
+    """Also counts the job.json parses made by the coordinator's stop check."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.in_check = False
+        self.check_parses = 0
+
+    def read_status(self, job_id) -> str:
+        self.in_check = True
+        try:
+            return super().read_status(job_id)
+        finally:
+            self.in_check = False
+
+    def read_job_file(self, job_id) -> dict:
+        self.check_parses += self.in_check
+        return super().read_job_file(job_id)
+
+
+class StopInsideLaunch(ScriptedExecutor):
+    """Calls ``stop`` inside the launch of ``at``: after the stop check for
+    that launch, before the check for the next one."""
+
+    def __init__(self, stop, at: str):
+        super().__init__([1.0])
+        self.stop = stop
+        self.at = at
+
+    def launch(self, trial_id, config, seed, emit) -> None:
+        if trial_id == self.at:
+            self.stop()
+        super().launch(trial_id, config, seed, emit)
+
+
 class StopOnFirstLaunch:
     """Asks for a stop, as ``tunekit stop`` does, inside the first launch."""
 
@@ -890,6 +925,81 @@ class TestRunJob:
             store.close()
         assert state.terminal_count == 12
         assert store.status_reads <= len(state.trials) + 1
+
+    def test_stop_check_parses_job_json_only_when_it_changed(self, tmp_path):
+        curve = get_benchmark("curve-sim")
+        spec = ExecutorSpec(kind="builtin", benchmark="curve-sim",
+                            iterations=20)
+        config = make_config(space=curve.space, max_trials=12, max_parallel=2,
+                             early_stopping="median", seed=23)
+        store = ParseCountingStore(tmp_path / "s")
+        executor = make_executor(spec, "loss", 2)
+        try:
+            state = run_job(config, store, executor)
+        finally:
+            executor.shutdown()
+            store.close()
+        assert state.terminal_count == 12
+        # One check per proposed launch; job.json never changed.
+        assert store.status_reads == len(state.trials)
+        assert store.check_parses <= 1
+
+    @pytest.mark.parametrize("writer", ["cli", "same_size_and_mtime"])
+    def test_stop_is_seen_through_the_status_cache(self, tmp_path, writer):
+        config = make_config(max_trials=6)
+        root = tmp_path / "s"
+        path = root / config.job_id / "job.json"
+
+        def stop():
+            if writer == "cli":
+                assert cli.main(["stop", config.job_id,
+                                 "--store", str(root)]) == 0
+                return
+            # A rename that keeps job.json's size and mtime: only the
+            # inode tells it from the file the stop check parsed.
+            old = os.stat(path)
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload["status"] = "stopping"
+            text = json.dumps(payload).encode("utf-8")
+            assert len(text) <= old.st_size
+            tmp = path.with_name("job.json.padded.tmp")
+            tmp.write_bytes(text.ljust(old.st_size))
+            os.replace(tmp, path)
+            os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+            new = os.stat(path)
+            assert ((new.st_size, new.st_mtime_ns)
+                    == (old.st_size, old.st_mtime_ns))
+            assert new.st_ino != old.st_ino
+
+        store = ParseCountingStore(root)
+        executor = StopInsideLaunch(stop, at="trial-0002")
+        try:
+            state = run_job(config, store, executor)
+        finally:
+            store.close()
+        assert executor.launches == ["trial-0001", "trial-0002"]
+        assert list(state.trials) == ["trial-0001", "trial-0002"]
+        assert store.status_reads == 3
+        assert store.check_parses == 2
+        assert state.status == "completed"
+
+    def test_store_keeps_no_status_key_after_run_job(self, tmp_path):
+        store = JobStore(tmp_path / "s")
+        keys = []
+
+        class KeyProbe(ScriptedExecutor):
+            def launch(self, trial_id, config, seed, emit) -> None:
+                keys.append(set(store._status_keys))
+                super().launch(trial_id, config, seed, emit)
+
+        try:
+            for job_id in ("job-a", "job-b"):
+                run_job(make_config(job_id=job_id, max_trials=2), store,
+                        KeyProbe([1.0]))
+                assert job_id not in store._status_keys
+        finally:
+            store.close()
+        assert keys == [{"job-a"}, {"job-a"}, {"job-b"}, {"job-b"}]
 
     def test_slots_refilled_only_when_a_trial_leaves_running(
             self, tmp_path, monkeypatch):
