@@ -6,7 +6,7 @@ search, with asynchronous parallel trials, median-rule early stopping,
 warm starting from previous jobs, and a crash-recoverable job store.
 """
 
-from .acquisition import AcquisitionContext, acquisition_value, expected_improvement, propose
+from .acquisition import AcquisitionContext, expected_improvement, propose
 from .benchmarks import Benchmark, UnknownBenchmarkError, get_benchmark
 from .inference import McmcConfig, StepOutFailure, slice_sample, slice_sample_thetas
 from .jobs import (

@@ -7,7 +7,9 @@ by a batched compass search, snaps the refined points onto representable
 configurations, and drops anything that collides with a pending or
 already-evaluated design point.  The compass search scores the probes of
 all its starts in one acquisition call per round, and the survivors are
-scored in one more.
+scored in one more.  Pending points steer only that check, not the model.
+If every refined point collides, the best free anchor is proposed, and if
+every anchor collides too, the first refined point, a duplicate.
 
 The normal CDF takes ``erf`` from ``scipy.special``, imported inside
 ``_norm_cdf``: SciPy loads at the first proposal that scores a point,
@@ -19,12 +21,12 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .sobol import MAX_DIMENSION, sobol_points
-from .space import Configuration, SearchSpace, decode, encode, sample_random
+from .space import Configuration, SearchSpace, decode, encode
 # predict_batch is not called here; the name stays importable from this
 # module because bench/spans.py wraps it at this lookup site.
 from .surrogate import GpPosterior, predict_batch, predict_stack  # noqa: F401
@@ -34,7 +36,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "AcquisitionContext",
     "expected_improvement",
-    "acquisition_value",
     "acquisition_values",
     "propose",
 ]
@@ -44,7 +45,6 @@ _DUPLICATE_TOL = 1e-6
 _TOP_ANCHORS = 5
 _COMPASS_STEP = 0.125
 _COMPASS_MIN_STEP = 1e-4
-_RANDOM_FALLBACK_TRIES = 16
 
 
 def _norm_pdf(x: np.ndarray) -> np.ndarray:
@@ -74,40 +74,28 @@ def expected_improvement(mean, variance, incumbent):
     return float(out) if np.ndim(mean) == 0 and np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AcquisitionContext:
     """Everything the proposal search needs about the current model state.
 
     ``posterior`` is the fitted ensemble, as ``fit_posterior`` returns it
     (members weigh equally, and every acquisition call scores them all in
     one pass), ``incumbent`` the best observed raw value in minimisation
-    form, ``pending`` the encoded points currently being evaluated, and
-    ``space`` the search space for snapping and fallback sampling.
-    ``pending_array`` holds ``pending`` as an ``(m, w)`` array.
+    form, ``pending`` the ``(m, w)`` array of encoded points currently
+    being evaluated (``m`` may be 0), which ``propose`` only reads, and
+    ``space`` the search space for snapping.
     """
 
     posterior: GpPosterior
     incumbent: float
-    pending: tuple[tuple[float, ...], ...]
+    pending: np.ndarray
     space: SearchSpace
-    pending_array: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        width = self.space.encoded_width
-        arr = (np.array(self.pending, dtype=float).reshape(-1, width)
-               if self.pending else np.zeros((0, width)))
-        object.__setattr__(self, "pending_array", arr)
 
 
 def acquisition_values(x: np.ndarray, ctx: AcquisitionContext) -> np.ndarray:
     """Ensemble-averaged expected improvement at a stack of encoded points."""
     mean, var = predict_stack(ctx.posterior, x)
     return expected_improvement(mean, var, ctx.incumbent).mean(axis=0)
-
-
-def acquisition_value(x: np.ndarray, ctx: AcquisitionContext) -> float:
-    """Ensemble-averaged expected improvement at one encoded point."""
-    return float(acquisition_values(np.atleast_2d(x), ctx)[0])
 
 
 def _refine(starts: np.ndarray, values: np.ndarray,
@@ -158,10 +146,6 @@ def _min_distance(x: np.ndarray, existing: np.ndarray) -> float:
     return float(np.min(np.linalg.norm(existing - x[np.newaxis, :], axis=1)))
 
 
-def _known_points(ctx: AcquisitionContext) -> np.ndarray:
-    return np.vstack([ctx.posterior.design, ctx.pending_array])
-
-
 def propose(ctx: AcquisitionContext, seed: int | np.random.SeedSequence) -> Configuration:
     """Pick the next configuration to evaluate.
 
@@ -171,12 +155,12 @@ def propose(ctx: AcquisitionContext, seed: int | np.random.SeedSequence) -> Conf
     scores the survivors in one batch, and returns the one with the
     highest acquisition value (the first, on a tie).  Candidates within
     Euclidean distance 1e-6 of a pending or evaluated design point are
-    discarded; if nothing survives, the best non-colliding anchor is
-    used, and as a last resort the first of 16 random samples that does
-    not collide.  Either fallback logs a warning.  When all 16 random
-    samples collide, the last is returned, a duplicate of a pending or
-    evaluated point, with one more warning.
-    Deterministic for a fixed context and seed.
+    discarded; if nothing survives, the best snapped anchor that does not
+    collide is used.  When every anchor collides as well, the first
+    refined candidate (the snap of the best anchor's refinement) is
+    returned, a duplicate of a pending or evaluated point.  Either
+    fallback logs a warning.  ``seed`` draws the anchors only for widths
+    beyond the Sobol' tables.  Deterministic for a fixed context and seed.
     """
     width = ctx.space.encoded_width
     n_anchor = min(2048, 512 * width)
@@ -185,7 +169,7 @@ def propose(ctx: AcquisitionContext, seed: int | np.random.SeedSequence) -> Conf
     else:
         anchors = np.random.default_rng(seed).random((n_anchor, width))
     values = acquisition_values(anchors, ctx)
-    known = _known_points(ctx)
+    known = np.vstack([ctx.posterior.design, ctx.pending])
 
     order = np.argsort(values)[::-1]
     top = order[:_TOP_ANCHORS]
@@ -205,13 +189,5 @@ def propose(ctx: AcquisitionContext, seed: int | np.random.SeedSequence) -> Conf
             return decode(snapped, ctx.space)
 
     logger.warning("every anchor collides with a pending or evaluated "
-                   "point; proposing a random sample")
-    rng_seeds = np.random.SeedSequence(seed).spawn(_RANDOM_FALLBACK_TRIES)
-    for sub in rng_seeds:
-        config = sample_random(ctx.space, sub, 1)[0]
-        if _min_distance(encode(config, ctx.space), known) >= _DUPLICATE_TOL:
-            return config
-    logger.warning("all %d random samples collide with a pending or "
-                   "evaluated point; proposing a duplicate",
-                   _RANDOM_FALLBACK_TRIES)
-    return config
+                   "point; proposing a duplicate")
+    return decode(candidates[0], ctx.space)

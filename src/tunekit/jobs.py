@@ -9,6 +9,7 @@ the CLI's config-file format.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Literal
@@ -134,8 +135,9 @@ class TrialRecord:
 
     @property
     def has_observation(self) -> bool:
-        return self.final_value is not None and self.status in (
-            "completed", "early_stopped")
+        return (self.status in ("completed", "early_stopped")
+                and self.final_value is not None
+                and math.isfinite(self.final_value))
 
 
 @dataclass

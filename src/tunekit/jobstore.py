@@ -57,6 +57,7 @@ from .jobs import (
 from .runner import ExecutorSpec
 from .space import Configuration, encode
 from .stopping import MetricCurve
+from .surrogate import GpHyperParams
 
 logger = logging.getLogger(__name__)
 
@@ -536,10 +537,9 @@ def _last_status(job_id: str, raw: bytes) -> str:
 def _chain_log_theta(config: TuningJobConfig, proposal: dict) -> np.ndarray:
     """The hyperparameter log vector a model launch journaled."""
     log_theta = np.array(proposal["log_theta"], dtype=float)
-    # The layout is [lengthscales, amplitude, noise, warp_a, warp_b].
-    size = 3 * config.space.encoded_width + 2
-    if log_theta.shape != (size,) or not np.isfinite(log_theta).all():
-        raise ValueError(f"proposal log_theta must hold {size} finite floats")
+    if not np.isfinite(log_theta).all():
+        raise ValueError("proposal log_theta must hold finite floats")
+    GpHyperParams.from_log_vector(log_theta, config.space.encoded_width)
     return log_theta
 
 

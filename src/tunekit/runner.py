@@ -12,9 +12,10 @@ configuration is written to an ``hparams.json`` in the trial's working
 directory, the environment carries ``TUNER_TRIAL_ID`` and
 ``TUNER_HPARAMS_FILE``, and the child reports metrics by printing lines of
 the form ``tuner-metric name=<ident> iteration=<uint> value=<float>`` to
-stdout.  Exit code 0 means success.  A non-finite objective value (``nan``,
-``inf``, or a literal that overflows) fails the attempt.  Each child leads
-its own process group, and stopping it kills the whole group.
+stdout.  Exit code 0 completes the attempt (the coordinator fails it if no
+objective value arrived).  A non-finite objective value (``nan``, ``inf``,
+or a literal that overflows) fails the attempt.  Each child leads its own
+process group, and stopping it kills the whole group.
 """
 
 from __future__ import annotations
@@ -351,21 +352,17 @@ class ExternalExecutor(_PooledExecutor):
             emit(TrialEvent("failed", trial_id, reason="spawn_failure"))
             return
 
-        saw_objective = False
         non_finite = threading.Event()
 
         def consume_stdout() -> None:
-            nonlocal saw_objective
             for line in proc.stdout:
                 match = METRIC_LINE.match(line.rstrip("\n"))
                 if not match:
                     continue
                 name, iteration, value = match.groups()
-                if name == self._metric:
-                    if not math.isfinite(float(value)):
-                        non_finite.set()
-                        break
-                    saw_objective = True
+                if name == self._metric and not math.isfinite(float(value)):
+                    non_finite.set()
+                    break
                 emit(TrialEvent("metric", trial_id, name, int(iteration),
                                 float(value)))
             proc.stdout.close()
@@ -394,8 +391,6 @@ class ExternalExecutor(_PooledExecutor):
         elif proc.returncode != 0:
             emit(TrialEvent("failed", trial_id,
                             reason=f"exit_code_{proc.returncode}"))
-        elif not saw_objective:
-            emit(TrialEvent("failed", trial_id, reason="protocol_violation"))
         else:
             emit(TrialEvent("completed", trial_id))
 

@@ -36,6 +36,7 @@ an uninterrupted one would.
 from __future__ import annotations
 
 import logging
+import math
 import queue
 import time
 
@@ -169,7 +170,8 @@ def next_candidate(state: TuningJobState, config: TuningJobConfig,
     ctx = AcquisitionContext(
         posterior=posterior,
         incumbent=float(np.min(y)),
-        pending=tuple(tuple(t.encoded) for t in running),
+        pending=np.array([t.encoded for t in running]).reshape(
+            -1, config.space.encoded_width),
         space=config.space,
     )
     return propose(ctx, propose_seed), thetas[-1].to_log_vector()
@@ -239,6 +241,9 @@ class _Coordinator:
     def _record(self, event: dict) -> None:
         """Journal ``event`` and apply it to the state."""
         event.setdefault("ts", time.time())
+        if not math.isfinite(event.get("final_value", 0.0)):
+            logger.warning("trial %s reported a non-finite final value; it "
+                           "is journaled but never observed", event["trial_id"])
         self._write(self.store.append_event, self.config.job_id, event)
         apply_event(self.config, self.state, event)
         if event["type"] == "trial_completed":

@@ -21,7 +21,6 @@ from tunekit import acquisition
 from tunekit.acquisition import (
     AcquisitionContext,
     _refine,
-    acquisition_value,
     acquisition_values,
     expected_improvement,
     propose,
@@ -32,6 +31,10 @@ from tunekit.surrogate import (GpHyperParams, GpPosterior, fit_posterior, kernel
                                predict_batch)
 
 PHI_0 = 1.0 / math.sqrt(2.0 * math.pi)  # standard normal density at 0
+
+
+def no_pending(space: SearchSpace) -> np.ndarray:
+    return np.zeros((0, space.encoded_width))
 
 
 class TestExpectedImprovement:
@@ -106,7 +109,7 @@ class TestExpectedImprovement:
         assert got >= max(0.0, incumbent - mean) - 1e-12
 
 
-def make_context(seed: int = 0, n: int = 8, pending=(), k_posteriors: int = 1,
+def make_context(seed: int = 0, n: int = 8, k_posteriors: int = 1,
                  space: SearchSpace | None = None) -> AcquisitionContext:
     space = space or SearchSpace([continuous("x", 0.0, 1.0),
                                   continuous("y", 0.0, 1.0)])
@@ -127,7 +130,7 @@ def make_context(seed: int = 0, n: int = 8, pending=(), k_posteriors: int = 1,
     return AcquisitionContext(
         posterior=fit_posterior(design, y, thetas),
         incumbent=float(np.min(y)),
-        pending=tuple(tuple(p) for p in pending),
+        pending=no_pending(space),
         space=space,
     )
 
@@ -144,25 +147,26 @@ class TestEnsemble:
         one = make_context(0, k_posteriors=1)
         twice = AcquisitionContext(
             posterior=members(one.posterior, [0, 0]), incumbent=one.incumbent,
-            pending=(), space=one.space,
+            pending=no_pending(one.space), space=one.space,
         )
-        x = np.array([0.3, 0.6])
-        assert acquisition_value(x, one) == pytest.approx(
-            acquisition_value(x, twice), rel=1e-12
+        x = np.array([[0.3, 0.6]])
+        assert acquisition_values(x, one)[0] == pytest.approx(
+            acquisition_values(x, twice)[0], rel=1e-12
         )
 
     def test_mean_over_members(self):
         ctx = make_context(1, k_posteriors=3)
-        x = np.array([0.2, 0.8])
+        x = np.array([[0.2, 0.8]])
         singles = [
-            acquisition_value(
+            acquisition_values(
                 x,
                 AcquisitionContext(members(ctx.posterior, [s]), ctx.incumbent,
-                                   (), ctx.space),
-            )
+                                   ctx.pending, ctx.space),
+            )[0]
             for s in range(3)
         ]
-        assert acquisition_value(x, ctx) == pytest.approx(np.mean(singles), rel=1e-10)
+        assert acquisition_values(x, ctx)[0] == pytest.approx(np.mean(singles),
+                                                              rel=1e-10)
 
     def test_batch_matches_scalar(self):
         ctx = make_context(2, k_posteriors=2)
@@ -170,7 +174,8 @@ class TestEnsemble:
         xs = rng.random((25, 2))
         batch = acquisition_values(xs, ctx)
         for i in range(25):
-            assert batch[i] == pytest.approx(acquisition_value(xs[i], ctx), rel=1e-12)
+            single = acquisition_values(np.atleast_2d(xs[i]), ctx)[0]
+            assert batch[i] == pytest.approx(single, rel=1e-12)
 
     def test_stacked_pass_matches_per_posterior_mean(self):
         # ten members; the last has no noise on a design with repeated
@@ -197,7 +202,7 @@ class TestEnsemble:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(kernel_matrix(design, design, thetas[-1]))
         ctx = AcquisitionContext(fit_posterior(design, y, thetas),
-                                 float(np.min(y)), (), space)
+                                 float(np.min(y)), no_pending(space), space)
         xs = rng.random((40, 2))
         per_member = [expected_improvement(
             *predict_batch(fit_posterior(design, y, [t]), xs), ctx.incumbent)
@@ -222,7 +227,8 @@ class TestPropose:
     def test_requires_posterior(self):
         space = SearchSpace([continuous("x", 0.0, 1.0)])
         with pytest.raises(TypeError):
-            AcquisitionContext(incumbent=0.0, pending=(), space=space)
+            AcquisitionContext(incumbent=0.0, pending=no_pending(space),
+                               space=space)
 
     def test_deterministic(self):
         ctx = make_context(4)
@@ -252,7 +258,8 @@ class TestPropose:
         for seed in range(5):
             ctx = make_context(seed + 10, n=6)
             config = propose(ctx, seed)
-            proposed_val = acquisition_value(encode(config, ctx.space), ctx)
+            proposed_val = acquisition_values(
+                np.atleast_2d(encode(config, ctx.space)), ctx)[0]
             width = ctx.space.encoded_width
             anchors = sobol_points(width, min(2048, 512 * width), skip=1)
             anchor_best = acquisition_values(anchors, ctx).max()
@@ -265,7 +272,8 @@ class TestPropose:
         space = SearchSpace([continuous("x", 0.0, 1.0)])
         ctx = make_context(20, n=5, space=space)
         config = propose(ctx, 0)
-        proposed_val = acquisition_value(encode(config, space), ctx)
+        proposed_val = acquisition_values(
+            np.atleast_2d(encode(config, space)), ctx)[0]
         grid = np.linspace(0.0, 1.0, 4097).reshape(-1, 1)
         grid_best = acquisition_values(grid, ctx).max()
         assert proposed_val >= grid_best * 0.95 - 1e-12
@@ -273,7 +281,8 @@ class TestPropose:
     def test_near_dense_grid_optimum_2d(self):
         ctx = make_context(24, n=8)
         config = propose(ctx, 0)
-        proposed_val = acquisition_value(encode(config, ctx.space), ctx)
+        proposed_val = acquisition_values(
+            np.atleast_2d(encode(config, ctx.space)), ctx)[0]
         axis = np.linspace(0.0, 1.0, 257)
         grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
         grid_best = acquisition_values(grid, ctx).max()
@@ -303,7 +312,7 @@ class TestPropose:
         refined = propose(base, 0)
         busy = encode(refined, space)
         ctx = AcquisitionContext(base.posterior, base.incumbent,
-                                 (tuple(busy),), space)
+                                 busy[np.newaxis, :], space)
         alt = propose(ctx, 0)
         dist = abs(float(encode(alt, space)[0]) - float(busy[0]))
         assert dist >= 1e-6
@@ -319,13 +328,12 @@ class TestPropose:
 
     def test_exhausted_discrete_space_still_returns(self):
         # every representable configuration is already evaluated; the
-        # proposal falls back to a random sample and may collide, but it
-        # must still return something decodable
+        # proposal is a duplicate, but it must still be decodable
         space = SearchSpace([integer("n", 0, 2)])
         design = np.array([[0.0], [0.5], [1.0]])
         y = np.array([1.0, 0.0, 2.0])
         post = fit_posterior(design, y, [GpHyperParams.default(1)])
-        ctx = AcquisitionContext(post, 0.0, (), space)
+        ctx = AcquisitionContext(post, 0.0, no_pending(space), space)
         config = propose(ctx, 0)
         assert config["n"] in (0, 1, 2)
 
@@ -337,8 +345,9 @@ class TestPropose:
         pending: list[tuple[float, ...]] = []
         with caplog.at_level(logging.WARNING, logger="tunekit.acquisition"):
             for _ in range(6):
-                ctx = AcquisitionContext(base.posterior, base.incumbent,
-                                         tuple(pending), base.space)
+                ctx = AcquisitionContext(
+                    base.posterior, base.incumbent,
+                    np.array(pending).reshape(-1, 2), base.space)
                 config = propose(ctx, 0)
                 if caplog.records:
                     break
@@ -348,19 +357,20 @@ class TestPropose:
             "point; proposing the best free anchor"]
         assert tuple(encode(config, base.space)) not in pending
 
-    def test_random_fallback_warns(self, caplog):
+    def test_every_anchor_colliding_proposes_a_duplicate(self, caplog):
+        # all three values are evaluated, so no anchor snaps to a free
+        # configuration
         space = SearchSpace([integer("n", 0, 2)])
         design = np.array([[0.0], [0.5], [1.0]])
         post = fit_posterior(design, np.array([1.0, 0.0, 2.0]),
                              [GpHyperParams.default(1)])
-        ctx = AcquisitionContext(post, 0.0, (), space)
+        ctx = AcquisitionContext(post, 0.0, no_pending(space), space)
         with caplog.at_level(logging.WARNING, logger="tunekit.acquisition"):
-            propose(ctx, 0)
+            config = propose(ctx, 0)
         assert [r.message for r in caplog.records] == [
             "every anchor collides with a pending or evaluated point; "
-            "proposing a random sample",
-            "all 16 random samples collide with a pending or evaluated "
-            "point; proposing a duplicate"]
+            "proposing a duplicate"]
+        assert encode(config, space).tolist() in design.tolist()
 
     def test_duplicate_proposal_warns(self, caplog):
         # both categories are evaluated, so every proposal is a duplicate
@@ -369,17 +379,21 @@ class TestPropose:
                            encode({"opt": "b"}, space)])
         post = fit_posterior(design, np.array([1.0, 0.0]),
                              [GpHyperParams.default(design.shape[1])])
-        ctx = AcquisitionContext(post, 0.0, (), space)
+        ctx = AcquisitionContext(post, 0.0, no_pending(space), space)
         with caplog.at_level(logging.WARNING, logger="tunekit.acquisition"):
             config = propose(ctx, 0)
         assert config["opt"] in ("a", "b")
         assert "proposing a duplicate" in caplog.records[-1].message
 
     def test_pending_tuple_not_mutated(self):
-        pending = ((0.5, 0.5),)
-        ctx = make_context(23, pending=pending)
+        # a read-only array: any write to it inside propose raises
+        pending = np.array([[0.5, 0.5]])
+        pending.flags.writeable = False
+        base = make_context(23)
+        ctx = AcquisitionContext(base.posterior, base.incumbent, pending,
+                                 base.space)
         propose(ctx, 0)
-        assert ctx.pending == ((0.5, 0.5),)
+        np.testing.assert_array_equal(ctx.pending, [[0.5, 0.5]])
 
 
 def _cube_space(width: int) -> SearchSpace:

@@ -380,18 +380,21 @@ class TestExternalExecutor:
         # metrics emitted before the failure are still delivered
         assert len(sink.metrics("loss")) == 1
 
+    # A clean exit completes the attempt here; the coordinator fails it
+    # as a protocol_violation when no objective reached its curve
+    # (tests/test_scheduler.py::TestExternalJobs).
     def test_no_objective_metric_is_protocol_violation(self, child_script, tmp_path):
         script = child_script(CHILD_SILENT)
         sink = run_external([sys.executable, script], tmp_path)
-        assert sink.last.kind == "failed"
-        assert sink.last.reason == "protocol_violation"
+        assert sink.last.kind == "completed"
+        assert sink.metrics() == []
 
     def test_other_metrics_do_not_satisfy_protocol(self, child_script, tmp_path):
         script = child_script(CHILD_WRONG_METRIC)
         sink = run_external([sys.executable, script], tmp_path)
-        assert sink.last.kind == "failed"
-        assert sink.last.reason == "protocol_violation"
-        # but the non-objective metric is still forwarded
+        assert sink.last.kind == "completed"
+        assert sink.metrics("loss") == []
+        # the non-objective metric is still forwarded
         assert len(sink.metrics("aux")) == 1
 
     @pytest.mark.parametrize("padding", [0, 200_000])

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import os
 import queue
 import shutil
@@ -25,7 +26,7 @@ from tunekit.jobs import (
     TuningJobState,
 )
 from tunekit.jobstore import JobStore, StoreError, replay_events
-from tunekit.runner import ExecutorSpec, TrialEvent, make_executor
+from tunekit.runner import BuiltinExecutor, ExecutorSpec, TrialEvent, make_executor
 from tunekit.scheduler import (
     JobAborted,
     ParentNotFoundError,
@@ -98,6 +99,16 @@ def run_to_completion(root, config, spec=FAST_BRANIN, executor=None):
         if own:
             executor.shutdown()
         store.close()
+
+
+class NanOnceExecutor(BuiltinExecutor):
+    """Builtin executor whose trial-0002 reports ``nan`` as its only value."""
+
+    def _run(self, trial_id, config, seed, emit, stop):
+        if trial_id != "trial-0002":
+            return super()._run(trial_id, config, seed, emit, stop)
+        emit(TrialEvent("metric", trial_id, self._metric, 1, math.nan))
+        emit(TrialEvent("completed", trial_id))
 
 
 class FlakyExecutor:
@@ -789,6 +800,40 @@ class TestRunJob:
         assert best.final_value == min(t.final_value
                                        for t in state.trials.values())
 
+    def test_non_finite_final_value_is_no_observation(self, tmp_path, caplog):
+        config = make_config(strategy="bayesian", max_trials=12, seed=5)
+        root = tmp_path / "s"
+        executor = NanOnceExecutor(FAST_BRANIN, "loss", 1)
+        try:
+            with caplog.at_level(logging.WARNING, logger="tunekit.scheduler"):
+                state = run_to_completion(root, config, executor=executor)
+        finally:
+            executor.shutdown()
+        assert "trial trial-0002 reported a non-finite final value" in caplog.text
+
+        def check(state):
+            assert state.count("completed") == config.max_trials
+            nan_trial = state.trials["trial-0002"]
+            assert math.isnan(nan_trial.final_value)  # as journaled
+            assert state.incumbent("minimize") is not nan_trial
+            design, y = state.observations("minimize")
+            assert y.shape == (config.max_trials - 1,)
+            assert np.isfinite(y).all()
+            assert not any(np.array_equal(row, nan_trial.encoded)
+                           for row in design)
+
+        check(state)
+        # Rerun the job from its journal cut before the first model launch,
+        # which already holds the nan.
+        store = JobStore(root)
+        events = store.read_events(config.job_id)
+        store.close()
+        cut = next(i for i, e in enumerate(events) if "proposal" in e)
+        journal = root / config.job_id / "events.log"
+        journal.write_text("".join(json.dumps(e, separators=(",", ":")) + "\n"
+                                   for e in events[:cut]), encoding="utf-8")
+        check(run_to_completion(root, config))
+
     def test_random_trials_use_distinct_seeds(self, tmp_path):
         config = make_config(max_trials=12, seed=21)
         state = run_to_completion(tmp_path / "s", config)
@@ -1346,6 +1391,15 @@ print("tuner-metric name=loss iteration=0 value=9.0", flush=True)
 print("tuner-metric name=loss iteration=1 value=0.25", flush=True)
 """
 
+# Children that exit cleanly without an objective value on the curve.
+CHILDREN_WITHOUT_OBJECTIVE = {
+    "silent": 'print("no metrics here", flush=True)\n',
+    "other_metric":
+        'print("tuner-metric name=aux iteration=1 value=0.5", flush=True)\n',
+    "iteration_zero":
+        'print("tuner-metric name=loss iteration=0 value=9.0", flush=True)\n',
+}
+
 
 class TestExternalJobs:
     def test_metric_at_iteration_zero_is_ignored(self, tmp_path):
@@ -1364,6 +1418,26 @@ class TestExternalJobs:
         store.close()
         assert replayed.trials["trial-0001"].curve.points == [(1, 0.25)]
         assert replayed.trials["trial-0001"].final_value == 0.25
+
+    @pytest.mark.parametrize("child", sorted(CHILDREN_WITHOUT_OBJECTIVE))
+    def test_no_objective_is_protocol_violation(self, tmp_path, child):
+        script = tmp_path / "child.py"
+        script.write_text(CHILDREN_WITHOUT_OBJECTIVE[child])
+        spec = ExecutorSpec(kind="external", command=(sys.executable,
+                                                      str(script)),
+                            workdir=str(tmp_path / "trials"))
+        config = make_config(max_trials=1, retry_limit=0)
+        state = run_to_completion(tmp_path / "s", config, spec=spec)
+        trial = state.trials["trial-0001"]
+        assert trial.status == "failed"
+        assert trial.failure_reason == "protocol_violation"
+        store = JobStore(tmp_path / "s")
+        events = store.read_events(config.job_id)
+        store.close()
+        assert [(e["type"], e.get("reason"), e.get("terminal"))
+                for e in events if e.get("trial_id")] == [
+            ("trial_launched", None, None),
+            ("trial_failed", "protocol_violation", True)]
 
     def test_unusable_trial_directory_fails_trials(self, tmp_path):
         blocker = tmp_path / "not-a-dir"

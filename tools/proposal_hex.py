@@ -1,15 +1,22 @@
 """Write the criterion-4 journals with every float as hex, to diff proposals.
 
     python tools/proposal_hex.py --trials 50 --out proposals.hex
+    python tools/proposal_hex.py --slots 4 --trials 30 --out slots4.hex
 
 Runs the Bayesian Branin jobs of acceptance criterion 4 (``noise_std``
-0.5, one slot) for seeds 1000 and 1001 in process, each in a fresh
-temporary store, and writes every job's journal to ``--out``: a
-``# job <id>`` line, then one JSON event per line with ``ts`` removed
-and every float written as ``float.hex``.  Two checkouts whose jobs
-propose the same configurations bit for bit write identical files, so
-``diff`` of two outputs is the bit-identity check for a change that
-must not alter proposals.
+0.5, one slot by default, ``--slots`` for more) for seeds 1000 and 1001
+in process, each in a fresh temporary store, and writes every job's
+journal to ``--out``: a ``# job <id>`` line, then one JSON event per
+line with ``ts`` removed and every float written as ``float.hex``.  Two
+checkouts whose jobs propose the same configurations bit for bit write
+identical files, so ``diff`` of two outputs is the bit-identity check for
+a change that must not alter proposals.
+
+Trials run inline: the executor evaluates a trial inside ``launch`` and
+queues all its events before the coordinator goes on.  The coordinator
+fills every slot before it handles an event, so the journal does not
+depend on thread timing, and with N slots each model proposal after the
+first fill sees N - 1 pending trials.
 
 tunekit is imported from the ``src/`` directory next to this one.
 OpenBLAS runs on one thread, set before NumPy is imported, because a
@@ -26,13 +33,14 @@ import argparse
 import json
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tunekit.jobs import ObjectiveSpec, TuningJobConfig
 from tunekit.jobstore import JobStore
-from tunekit.runner import ExecutorSpec, make_executor
+from tunekit.runner import BuiltinExecutor, ExecutorSpec
 from tunekit.scheduler import run_job
 from tunekit.space import SearchSpace, continuous
 
@@ -53,15 +61,22 @@ def as_hex(value):
     return value
 
 
-def journal_lines(seed: int, trials: int) -> list[str]:
-    """The hex journal of one criterion-4 Bayesian job."""
+class InlineExecutor(BuiltinExecutor):
+    """A builtin executor that runs each trial to its end inside ``launch``."""
+
+    def launch(self, trial_id, config, seed, emit) -> None:
+        self._run(trial_id, config, seed, emit, threading.Event())
+
+
+def journal_lines(seed: int, trials: int, slots: int) -> list[str]:
+    """The hex journal of one criterion-4 Bayesian job at ``slots`` slots."""
     config = TuningJobConfig(
         job_id=f"acc4-bo-{seed}", space=BRANIN_SPACE,
         objective=ObjectiveSpec("loss"), strategy="bayesian",
-        max_trials=trials, max_parallel=1, seed=seed)
+        max_trials=trials, max_parallel=slots, seed=seed)
     with tempfile.TemporaryDirectory(prefix="proposal-hex-") as root:
         store = JobStore(root)
-        executor = make_executor(SPEC, "loss", 1)
+        executor = InlineExecutor(SPEC, "loss", 1)
         try:
             run_job(config, store, executor)
             events = store.read_events(config.job_id)
@@ -79,10 +94,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--trials", type=int, default=50,
                         help="trials per job (default 50, as criterion 4)")
+    parser.add_argument("--slots", type=int, default=1,
+                        help="max_parallel of each job (default 1, as "
+                             "criterion 4)")
     parser.add_argument("--out", required=True, type=Path,
                         help="file to write the hex journals to")
     args = parser.parse_args(argv)
-    lines = [line for seed in SEEDS for line in journal_lines(seed, args.trials)]
+    lines = [line for seed in SEEDS
+             for line in journal_lines(seed, args.trials, args.slots)]
     args.out.write_text("\n".join(lines) + "\n")
     return 0
 
