@@ -54,7 +54,7 @@ from .space import (
     sample_random,
     validate_space,
 )
-from .stopping import MetricCurve, StopDecision, activation_threshold, median_rule
+from .stopping import CompletedCurves, MetricCurve, StopDecision, median_rule
 from .surrogate import (
     CholeskyFailure,
     GpHyperParams,

@@ -74,6 +74,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             config, executor_spec, _ = store.read_config(config.job_id)
         except StoreError as exc:
             return _fail(str(exc), EXIT_JOB_FAILURE)
+        if executor_spec is None:
+            return _fail(f"stored job {config.job_id!r} has no 'executor' "
+                         f"block in its job.json", EXIT_JOB_FAILURE)
 
     executor = make_executor(executor_spec, config.objective.name,
                              config.max_parallel)
@@ -83,6 +86,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"interrupted; rerun to resume job {config.job_id}",
               file=sys.stderr)
         return EXIT_INTERRUPT
+    except JobConfigError as exc:
+        return _fail(f"{path}: {exc}", EXIT_CONFIG_ERROR)
     except ParentNotFoundError as exc:
         return _fail(str(exc), EXIT_CONFIG_ERROR)
     except (JobAborted, StoreError) as exc:

@@ -103,6 +103,8 @@ def validate_job_config(config: TuningJobConfig) -> TuningJobConfig:
         raise JobConfigError("objective needs a metric name")
     if config.retry_limit < 0:
         raise JobConfigError("retry_limit must be >= 0")
+    if config.seed < 0:
+        raise JobConfigError("seed must be >= 0")
     for parent in config.warm_start_parents:
         if not JOB_ID_RE.match(parent):
             raise JobConfigError(f"invalid parent job id {parent!r}")

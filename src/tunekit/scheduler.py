@@ -177,20 +177,6 @@ def next_candidate(state: TuningJobState, config: TuningJobConfig,
     return propose(ctx, propose_seed), thetas[-1].to_log_vector()
 
 
-def _median_stops(completed: CompletedCurves, config: TuningJobConfig,
-                  trial: TrialRecord, iteration: int) -> bool:
-    """Whether the median rule, if enabled, stops ``trial`` at ``iteration``.
-
-    The trial is compared against ``completed``, the curves of the
-    completed trials.
-    """
-    if config.early_stopping != "median":
-        return False
-    decision = median_rule(trial.curve, completed, iteration,
-                           config.objective.goal)
-    return decision.should_stop
-
-
 def merge_warm_start(parents: Iterable[Iterable[TrialRecord]],
                      child_space: SearchSpace) -> list[tuple[np.ndarray, float]]:
     """Parent observations usable by a child job, from each parent's trials.
@@ -346,7 +332,11 @@ class _Coordinator:
             "type": "metric_reported", "trial_id": trial.trial_id,
             "iteration": int(event.iteration), "value": float(event.value),
         })
-        if not _median_stops(self.completed, config, trial, event.iteration):
+        if config.early_stopping != "median":
+            return
+        decision = median_rule(trial.curve, self.completed, event.iteration,
+                               config.objective.goal)
+        if not decision.should_stop:
             return
         self._record({
             "type": "trial_stopped", "trial_id": trial.trial_id,

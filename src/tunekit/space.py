@@ -172,7 +172,8 @@ def validate_space(space: SearchSpace) -> SearchSpace:
         If two dimensions share a name.
     InvalidBoundsError
         If a numeric dimension has ``lower >= upper`` or missing bounds,
-        or a categorical dimension carries bounds or a non-default scaling.
+        or a categorical dimension carries bounds, a non-default scaling or
+        a category that is not a string.
     LogScaleNonPositiveError
         If a log-scaled dimension has ``lower <= 0``.
     TooFewCategoriesError
@@ -195,6 +196,10 @@ def validate_space(space: SearchSpace) -> SearchSpace:
             if dim.categories is None or len(dim.categories) < 2:
                 raise TooFewCategoriesError(
                     f"categorical dimension {dim.name!r} needs at least two categories"
+                )
+            if not all(isinstance(c, str) for c in dim.categories):
+                raise InvalidBoundsError(
+                    f"categories of dimension {dim.name!r} must be strings"
                 )
             if len(set(dim.categories)) != len(dim.categories):
                 raise DuplicateNameError(

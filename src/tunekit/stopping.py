@@ -3,7 +3,9 @@
 A running trial is compared, at its latest reported iteration, against
 the median of the fully completed trials' values at that iteration.  The
 rule stays inactive until enough trials have completed and until the
-running trial has passed a dynamically chosen warm-up iteration.
+running trial has passed a dynamically chosen warm-up iteration.  A NaN
+value is no reference: the curve it belongs to is left out at that
+iteration, and the quorum counts the rest.  Infinities are references.
 
 The rule runs on every metric report, so :class:`CompletedCurves` keeps
 what it reuses between reports: the activation threshold, recomputed only
@@ -27,7 +29,6 @@ __all__ = [
     "CompletedCurves",
     "StopDecision",
     "QUORUM",
-    "activation_threshold",
     "median_rule",
 ]
 
@@ -111,35 +112,23 @@ def _sorted_median(values: list[float]) -> float:
     return (values[mid - 1] + values[mid]) / 2
 
 
-def activation_threshold(completed: list[MetricCurve]) -> float:
-    """First iteration at which the rule may fire.
-
-    Returns ``+inf`` (rule inactive) until at least ``QUORUM`` completed
-    curves exist; afterwards a quarter of the median completed duration,
-    floored, but never below 1.
-    """
-    durations = [c.final_iteration for c in completed if c.final_iteration is not None]
-    if len(durations) < QUORUM:
-        return math.inf
-    median_duration = _sorted_median(sorted(durations))
-    return max(1, math.floor(_ACTIVATION_FRACTION * median_duration))
-
-
 class CompletedCurves:
     """The curves of completed trials, as the median rule reads them.
 
-    Curves must not change once added.  The activation threshold is
-    recomputed only after a completion.  The contributions at an iteration
-    are gathered once, at the first question about it, into a sorted list
-    of the non-NaN values and a count of the NaN ones; each later
-    :meth:`add` inserts its curve's value into every list kept.
+    A curve's reference at iteration ``r`` is its latest value at or
+    before ``r``; a curve with no value there, or whose value there is
+    NaN, gives none, and an infinite value is a reference like any other.
+    Curves must not change once added.  The activation
+    threshold is recomputed only after a completion.  The references at an
+    iteration are gathered once, at the first question about it, into a
+    sorted list; each later :meth:`add` inserts its curve's reference into
+    every list kept.
     """
 
     def __init__(self, curves: Iterable[MetricCurve] = ()) -> None:
         self._curves = list(curves)
         self._threshold: float | None = None
         self._sorted: dict[int, list[float]] = {}
-        self._nans: dict[int, int] = {}
 
     def add(self, curve: MetricCurve) -> None:
         """Take in the curve of a trial that has just completed."""
@@ -147,44 +136,45 @@ class CompletedCurves:
         self._threshold = None
         for r, values in self._sorted.items():
             v = curve.value_at_or_before(r)
-            if v is None:
-                continue
-            if math.isnan(v):
-                self._nans[r] += 1
-            else:
+            if v is not None and not math.isnan(v):
                 insort(values, v)
 
     def threshold(self) -> float:
-        """:func:`activation_threshold` of the curves added so far."""
+        """First iteration at which the rule may fire.
+
+        ``+inf`` (rule inactive) until at least ``QUORUM`` curves have a
+        value; afterwards a quarter of their median duration, floored, but
+        never below 1.
+        """
         if self._threshold is None:
-            self._threshold = activation_threshold(self._curves)
+            durations = sorted(c.final_iteration for c in self._curves
+                               if c.final_iteration is not None)
+            self._threshold = math.inf
+            if len(durations) >= QUORUM:
+                self._threshold = max(1, math.floor(
+                    _ACTIVATION_FRACTION * _sorted_median(durations)))
         return self._threshold
 
-    def contributions(self, r: int) -> tuple[list[float], int]:
-        """Each curve's latest value at or before ``r``, where it has one:
-        the non-NaN values sorted, and the number of NaN ones."""
+    def contributions(self, r: int) -> list[float]:
+        """The references at ``r``, sorted."""
         values = self._sorted.get(r)
         if values is None:
-            found = [v for c in self._curves
-                     if (v := c.value_at_or_before(r)) is not None]
             values = self._sorted[r] = sorted(
-                v for v in found if not math.isnan(v))
-            self._nans[r] = len(found) - len(values)
-        return values, self._nans[r]
+                v for c in self._curves
+                if (v := c.value_at_or_before(r)) is not None
+                and not math.isnan(v))
+        return values
 
 
-def median_rule(running: MetricCurve,
-                completed: CompletedCurves | list[MetricCurve],
-                r: int, goal: Goal = "minimize") -> StopDecision:
+def median_rule(running: MetricCurve, completed: CompletedCurves, r: int,
+                goal: Goal = "minimize") -> StopDecision:
     """Decide whether a running trial should stop at iteration ``r``.
 
-    Completed curves without a value exactly at ``r`` contribute their
-    latest earlier value; curves with nothing at or before ``r`` are
-    excluded.  The decision needs ``QUORUM`` contributing curves, stops
-    only on a strictly worse-than-median value, and never fires below
-    the activation threshold.  ``completed`` is a :class:`CompletedCurves`,
-    which keeps its work for the next call, or a plain list of curves,
-    which is wrapped in a fresh one.
+    The running value at ``r`` is compared with the median of the
+    completed curves' references at ``r`` (see :class:`CompletedCurves`;
+    a NaN value is no reference, an infinite one is).  The decision needs
+    ``QUORUM`` references, stops only on a strictly worse-than-median
+    value, and never fires below the activation threshold.
 
     Raises
     ------
@@ -196,16 +186,12 @@ def median_rule(running: MetricCurve,
         raise MissingPointError(
             f"trial {running.trial_id!r} has no value at iteration {r}"
         )
-    if not isinstance(completed, CompletedCurves):
-        completed = CompletedCurves(completed)
     if r < completed.threshold():
         return StopDecision("continue", "below_activation")
-    values, nans = completed.contributions(r)
-    if len(values) + nans < QUORUM:
+    values = completed.contributions(r)
+    if len(values) < QUORUM:
         return StopDecision("continue", "no_quorum")
-    # A NaN contribution makes the median NaN, as in np.median, and no
-    # value is worse than NaN.
-    median = math.nan if nans else _sorted_median(values)
+    median = _sorted_median(values)
     worse = running_value > median if goal == "minimize" else running_value < median
     if worse:
         return StopDecision("stop", "worse_than_median")

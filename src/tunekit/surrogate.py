@@ -120,22 +120,6 @@ class GpHyperParams:
             warp_b=np.ones(width),
         )
 
-    def validate(self) -> "GpHyperParams":
-        w = self.width
-        if self.warp_a.shape != (w,) or self.warp_b.shape != (w,):
-            raise ValueError("warp parameter arrays must match the lengthscale width")
-        for arr, (lo, hi), label in (
-            (self.lengthscales, LENGTHSCALE_BOUNDS, "lengthscale"),
-            (np.atleast_1d(self.amplitude), AMPLITUDE_BOUNDS, "amplitude"),
-            (np.atleast_1d(self.noise_var), NOISE_BOUNDS, "noise_var"),
-            (self.warp_a, WARP_BOUNDS, "warp_a"),
-            (self.warp_b, WARP_BOUNDS, "warp_b"),
-        ):
-            # slack of a few ulps: exp(log(hi)) can overshoot the linear bound
-            if not np.all((arr >= lo * (1.0 - 1e-12)) & (arr <= hi * (1.0 + 1e-12))):
-                raise ValueError(f"{label} outside bounds [{lo}, {hi}]: {arr}")
-        return self
-
     # The log-vector layout [lengthscales, amplitude, noise_var, warp_a, warp_b]
     # is the parameterisation slice sampling moves in.
 

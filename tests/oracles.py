@@ -125,7 +125,7 @@ def oracle_median_rule(running: MetricCurve, completed: list[MetricCurve],
         return StopDecision("continue", "below_activation")
     contributions = [
         v for c in completed
-        if (v := oracle_value_at_or_before(c, r)) is not None
+        if (v := oracle_value_at_or_before(c, r)) is not None and not math.isnan(v)
     ]
     if len(contributions) < quorum:
         return StopDecision("continue", "no_quorum")

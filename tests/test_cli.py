@@ -148,6 +148,41 @@ class TestRun:
         assert store.read_job_file("cli-job")["seed"] == 99
         store.close()
 
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        store_root = tmp_path / "store"
+        assert main(["run", str(path), "--store", str(store_root),
+                     "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (store_root / "cli-job").exists()
+
+    @pytest.mark.parametrize("mutate", [
+        lambda p: p.__setitem__("seed", -1),
+        lambda p: p["space"].__setitem__(
+            0, {"name": "x1", "type": "categorical", "values": [1, 2]}),
+    ], ids=["negative-seed", "integer-categories"])
+    def test_bad_input_is_rejected_before_the_job_exists(self, tmp_path,
+                                                         capsys, mutate):
+        path = write_config(tmp_path, mutate=mutate)
+        store_root = tmp_path / "store"
+        assert main(["run", str(path), "--store", str(store_root)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (store_root / "cli-job").exists()
+
+    def test_rerun_of_stored_job_without_executor_fails(self, tmp_path,
+                                                        capsys):
+        path = write_config(tmp_path)
+        store_root = tmp_path / "store"
+        assert main(["run", str(path), "--store", str(store_root)]) == 0
+        capsys.readouterr()
+        job_file = store_root / "cli-job" / "job.json"
+        payload = json.loads(job_file.read_text(encoding="utf-8"))
+        del payload["executor"]
+        job_file.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["run", str(path), "--store", str(store_root)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cli-job" in err
+
     def test_missing_parent_is_config_error(self, tmp_path, capsys):
         config = make_config(warm_start_parents=("ghost",))
         path = write_config(tmp_path, config=config)

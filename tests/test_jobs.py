@@ -71,6 +71,11 @@ class TestValidation:
         with pytest.raises(JobConfigError):
             validate_job_config(make_config(**{field: value}))
 
+    def test_negative_seed(self):
+        with pytest.raises(JobConfigError, match="seed"):
+            validate_job_config(make_config(seed=-1))
+        validate_job_config(make_config(seed=0))
+
     def test_bayesian_width_is_not_bounded_by_sobol(self):
         # 71 encoded coordinates exceed the Sobol' tables; the Bayesian
         # strategy falls back to random points there, so the space is valid.

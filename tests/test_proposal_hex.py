@@ -50,3 +50,16 @@ def test_slots_are_deterministic_and_see_pending_trials(tmp_path):
                                "trial_stopped"):
             running.discard(event["trial_id"])
     assert max(pending_at_model_launch, default=0) > 0
+
+
+def test_curve_stop_mode_is_deterministic_and_stops_trials(tmp_path):
+    args = ("--mode", "curve-stop", "--trials", "20")
+    first = run_script(tmp_path / "a.hex", *args)
+    assert first == run_script(tmp_path / "b.hex", *args)
+    assert [line for line in first if line.startswith("#")] == [
+        "# job curve-stop-1000", "# job curve-stop-1001"]
+    events = [json.loads(line) for line in first if not line.startswith("#")]
+    assert sum(e["type"] == "trial_launched" for e in events) == 40
+    stopped = [e for e in events if e["type"] == "trial_stopped"]
+    assert stopped
+    assert all(isinstance(e["final_value"], str) for e in stopped)

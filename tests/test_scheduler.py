@@ -111,6 +111,17 @@ class NanOnceExecutor(BuiltinExecutor):
         emit(TrialEvent("completed", trial_id))
 
 
+class NanCurveExecutor(BuiltinExecutor):
+    """Builtin executor whose trial-0001 reports ``nan`` at every iteration."""
+
+    def _run(self, trial_id, config, seed, emit, stop):
+        if trial_id != "trial-0001":
+            return super()._run(trial_id, config, seed, emit, stop)
+        for r in range(1, self._spec.iterations + 1):
+            emit(TrialEvent("metric", trial_id, self._metric, r, math.nan))
+        emit(TrialEvent("completed", trial_id))
+
+
 class FlakyExecutor:
     """Fails chosen attempts of chosen trials, then delegates."""
 
@@ -919,6 +930,19 @@ class TestRunJob:
 
         assert (executed(tmp_path / "a", "job-stop")
                 < executed(tmp_path / "b", "job-plain"))
+
+    def test_completed_nan_curve_leaves_stopping_on(self, tmp_path):
+        # Without trial-0001's NaN curve this job early-stops 48 trials.
+        spec = ExecutorSpec(kind="builtin", benchmark="curve-sim", iterations=10)
+        config = make_config(space=get_benchmark("curve-sim").space,
+                             max_trials=60, early_stopping="median", seed=3)
+        executor = NanCurveExecutor(spec, "loss", 1)
+        try:
+            state = run_to_completion(tmp_path / "s", config, executor=executor)
+        finally:
+            executor.shutdown()
+        assert state.trials["trial-0001"].status == "completed"
+        assert state.count("early_stopped") > 0
 
     def test_stop_request_halts_gracefully(self, tmp_path):
         spec = ExecutorSpec(kind="builtin", benchmark="branin",

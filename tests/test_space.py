@@ -70,6 +70,10 @@ class TestValidation:
         with pytest.raises(TooFewCategoriesError):
             validate_space(SearchSpace([categorical("c", ("only",))]))
 
+    def test_non_string_categories(self):
+        with pytest.raises(InvalidBoundsError):
+            validate_space(SearchSpace([categorical("c", ("a", 1))]))
+
     def test_repeated_categories(self):
         with pytest.raises(DuplicateNameError):
             validate_space(SearchSpace([categorical("c", ("a", "b", "a"))]))

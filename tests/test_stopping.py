@@ -15,7 +15,6 @@ from tunekit.stopping import (
     MetricCurve,
     MissingPointError,
     _sorted_median,
-    activation_threshold,
     median_rule,
 )
 
@@ -69,29 +68,37 @@ class TestMetricCurve:
         assert MetricCurve("t").best_value() is None
 
 
+def threshold(curves) -> float:
+    return CompletedCurves(curves).threshold()
+
+
 class TestActivation:
     def test_quarter_of_median_duration(self):
         completed = [flat(f"t{i}", 1.0, n) for i, n in enumerate([100, 100, 80, 120])]
-        assert activation_threshold(completed) == 25
+        assert threshold(completed) == 25
 
     def test_floor_and_minimum_one(self):
         completed = [flat(f"t{i}", 1.0, 4) for i in range(4)]
-        assert activation_threshold(completed) == 1
+        assert threshold(completed) == 1
         completed = [flat(f"t{i}", 1.0, n) for i, n in enumerate([2, 2, 3, 3])]
         # median 2.5 -> floor(0.625) = 0 -> clamped to 1
-        assert activation_threshold(completed) == 1
+        assert threshold(completed) == 1
 
     def test_inactive_below_quorum(self):
         completed = [flat(f"t{i}", 1.0, 100) for i in range(QUORUM - 1)]
-        assert activation_threshold(completed) == math.inf
-        assert activation_threshold([]) == math.inf
+        assert threshold(completed) == math.inf
+        assert threshold([]) == math.inf
 
 
-def standard_completed():
+def standard_curves() -> list[MetricCurve]:
     # four completed 20-iteration curves whose values at iteration 10
     # are 0.2, 0.4, 0.8, 1.0 -> median 0.6
     levels = [0.2, 0.4, 0.8, 1.0]
     return [flat(f"done{i}", level, 20) for i, level in enumerate(levels)]
+
+
+def standard_completed() -> CompletedCurves:
+    return CompletedCurves(standard_curves())
 
 
 class TestMedianRule:
@@ -111,7 +118,7 @@ class TestMedianRule:
         assert decision.reason == "not_worse"
 
     def test_no_quorum_continues(self):
-        completed = standard_completed()[:3]
+        completed = CompletedCurves(standard_curves()[:3])
         decision = median_rule(flat("r", 99.0, 10), completed, 10)
         assert not decision.should_stop
         # with fewer than QUORUM completed curves the rule never activates
@@ -126,14 +133,16 @@ class TestMedianRule:
 
     def test_quorum_counts_contributors_at_r(self):
         # four completed curves, but one starts after r and cannot contribute
-        completed = standard_completed()[:3] + [curve("late", [0.5] * 5, start=15)]
+        completed = CompletedCurves(
+            standard_curves()[:3] + [curve("late", [0.5] * 5, start=15)])
         decision = median_rule(flat("r", 99.0, 10), completed, 10)
         assert not decision.should_stop
         assert decision.reason == "no_quorum"
 
     def test_carry_forward_for_short_completed_curves(self):
         # completed curves shorter than r contribute their last value
-        completed = [flat(f"d{i}", level, 6) for i, level in enumerate([0.2, 0.4, 0.8, 1.0])]
+        completed = CompletedCurves(
+            flat(f"d{i}", level, 6) for i, level in enumerate([0.2, 0.4, 0.8, 1.0]))
         decision = median_rule(flat("r", 0.7, 10), completed, 10)
         assert decision.should_stop
 
@@ -157,7 +166,8 @@ class TestMedianRule:
     )
     def test_monotone_safety(self, running_value, levels):
         # making the running value better can never flip continue -> stop
-        completed = [flat(f"d{i}", lv, 20) for i, lv in enumerate(levels)]
+        completed = CompletedCurves(
+            flat(f"d{i}", lv, 20) for i, lv in enumerate(levels))
         base = median_rule(flat("r", running_value, 10), completed, 10)
         improved = median_rule(flat("r", running_value - 1.0, 10), completed, 10)
         if not base.should_stop:
@@ -182,19 +192,55 @@ class TestMedianRule:
         # separate unit test and are excluded here because mapping and
         # averaging do not commute at the last ulp
         assume(abs(running_value - float(np.median(levels))) > 1e-4)
-        completed = [flat(f"d{i}", lv, 20) for i, lv in enumerate(levels)]
-        mapped = [flat(f"d{i}", lv * scale + shift, 20) for i, lv in enumerate(levels)]
+        completed = CompletedCurves(
+            flat(f"d{i}", lv, 20) for i, lv in enumerate(levels))
+        mapped = CompletedCurves(
+            flat(f"d{i}", lv * scale + shift, 20) for i, lv in enumerate(levels))
         a = median_rule(flat("r", running_value, 10), completed, 10)
         b = median_rule(flat("r", running_value * scale + shift, 10), mapped, 10)
         assert a.verdict == b.verdict
 
 
+class TestNonFiniteReferences:
+    def test_nan_curve_does_not_turn_the_rule_off(self):
+        completed = CompletedCurves(standard_curves() + [flat("nan", math.nan, 20)])
+        decision = median_rule(flat("r", 0.8, 10), completed, 10)
+        assert decision.reason == "worse_than_median"
+
+    def test_nan_references_do_not_count_toward_quorum(self):
+        completed = CompletedCurves(
+            standard_curves()[:3] + [flat("nan", math.nan, 20)])
+        decision = median_rule(flat("r", 99.0, 10), completed, 10)
+        assert decision.reason == "no_quorum"
+
+    def test_latest_value_nan_is_no_reference(self):
+        # an earlier finite value is not carried past a later NaN
+        late_nan = curve("late-nan", [0.1] * 9 + [math.nan] * 11)
+        completed = CompletedCurves(standard_curves()[:3] + [late_nan])
+        assert completed.contributions(9) == [0.1, 0.2, 0.4, 0.8]
+        assert completed.contributions(10) == [0.2, 0.4, 0.8]
+        completed.add(flat("done4", 1.0, 20))
+        assert completed.contributions(10) == [0.2, 0.4, 0.8, 1.0]
+
+    def test_infinities_are_references(self):
+        def decide(levels, running):
+            completed = CompletedCurves(
+                flat(f"d{i}", lv, 20) for i, lv in enumerate(levels))
+            return median_rule(flat("r", running, 10), completed, 10).reason
+        assert decide([-math.inf] * 3 + [1.0], 0.0) == "worse_than_median"
+        assert decide([0.2, 0.4, math.inf, math.inf], 99.0) == "not_worse"
+        # the two middle values -inf and +inf average to NaN, as in np.median
+        assert decide([-math.inf] * 2 + [math.inf] * 2, 0.0) == "not_worse"
+
+
 # --- the incremental rule against the linear-scan oracle -------------------
 
 # A few repeated levels give ties and even-count medians between equal
-# values; NaN must poison a median exactly as np.median does.
+# values; a NaN value must be no reference, as the oracle skips it, and
+# infinities must be ordered as np.median orders them.
 _values = st.one_of(st.floats(min_value=-3, max_value=3),
-                    st.sampled_from([0.0, 0.5, 1.0, math.nan]))
+                    st.sampled_from([0.0, 0.5, 1.0, math.nan,
+                                     math.inf, -math.inf]))
 
 
 @st.composite
@@ -245,7 +291,6 @@ class TestAgainstOracle:
             r = running.points[pick % len(running.points)][0]
             expected = oracle_median_rule(running, so_far, r, goal, QUORUM)
             assert median_rule(running, completed, r, goal) == expected
-            assert median_rule(running, list(so_far), r, goal) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.one_of(

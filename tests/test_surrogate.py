@@ -114,17 +114,6 @@ class TestHyperParams:
         assert lo[3] == pytest.approx(math.log(NOISE_BOUNDS[0]))
         assert hi[4] == pytest.approx(math.log(WARP_BOUNDS[1]))
 
-    def test_validate_rejects_out_of_bounds(self):
-        bad = GpHyperParams(
-            lengthscales=np.array([1e-5]), amplitude=1.0, noise_var=1e-3,
-            warp_a=np.array([1.0]), warp_b=np.array([1.0]),
-        )
-        with pytest.raises(ValueError):
-            bad.validate()
-        good = default_theta(1)
-        good.validate()
-
-
 class TestKernel:
     def test_diagonal_is_amplitude(self):
         rng = np.random.default_rng(0)
