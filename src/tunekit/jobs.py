@@ -211,13 +211,25 @@ def _dimension_to_record(dim: Dimension) -> dict:
     return record
 
 
+def _array(record: dict, key: str) -> list:
+    """``record[key]``, which must be a JSON array; empty when missing.
+
+    Anything else is refused: ``tuple`` of a string would split it into
+    characters.
+    """
+    value = record.get(key, [])
+    if not isinstance(value, list):
+        raise JobConfigError(f"{key!r} must be a JSON array, not {value!r}")
+    return value
+
+
 def _dimension_from_record(record: dict) -> Dimension:
     if not isinstance(record, dict) or "name" not in record or "type" not in record:
         raise JobConfigError(f"malformed space record: {record!r}")
     kind = record["type"]
     if kind == "categorical":
         return Dimension(str(record["name"]), "categorical",
-                         categories=tuple(record.get("values", ())))
+                         categories=tuple(_array(record, "values")))
     if kind not in ("continuous", "integer"):
         raise JobConfigError(f"unknown dimension type {kind!r}")
     if "min" not in record or "max" not in record:
@@ -263,7 +275,7 @@ def _executor_from_record(record: dict) -> ExecutorSpec:
         if kind == "external":
             return validate_executor_spec(ExecutorSpec(
                 kind="external",
-                command=tuple(str(a) for a in record.get("command", ())),
+                command=tuple(str(a) for a in _array(record, "command")),
                 workdir=record.get("workdir"),
                 timeout=float(record.get("timeout", 3600.0)),
             ))
@@ -331,8 +343,8 @@ def job_config_from_dict(data: dict) -> tuple[TuningJobConfig,
             max_trials=int(data["max_trials"]),
             max_parallel=int(data.get("max_parallel", 1)),
             early_stopping=data.get("early_stopping", "off"),
-            warm_start_parents=tuple(str(p) for p in
-                                     data.get("warm_start_parents", ())),
+            warm_start_parents=tuple(
+                str(p) for p in _array(data, "warm_start_parents")),
             seed=int(data.get("seed", 0)),
             retry_limit=int(data.get("retry_limit", 2)),
         )

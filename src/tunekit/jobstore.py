@@ -28,10 +28,14 @@ the process or a power loss the journal is a prefix that still holds
 every launch, stop and status change that took effect; the lines since
 the last sync are lost, and resume handles that as it handles any
 crash.  Another reader sees the journal as of the last sync; the
-writing :class:`JobStore` also reads its own unsynced lines.  A torn
-final line in events.log (a crash mid-write) is skipped with a warning,
-and dropped before the next append; corruption anywhere else is an
-error.
+writing :class:`JobStore` also reads its own unsynced lines.
+
+A line exists once its newline is written: :meth:`JobStore.sync`
+acknowledges nothing before its whole write and fsync return, so bytes
+after the journal's last newline are a torn append (a crash mid-write).
+Every read drops them with a warning, and the next append truncates them
+away first.  A complete line that does not parse is corruption wherever
+it sits.
 """
 
 from __future__ import annotations
@@ -117,38 +121,30 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
 
 
 def _end_on_line_boundary(job_id: str, path: Path) -> None:
-    """Make the journal end with a newline before anything is appended.
+    """Truncate the journal after its last newline before anything is appended.
 
-    A crash mid-append leaves a fragment after the last newline.  A
-    fragment that parses was replayed by :meth:`JobStore.read_events`, so
-    it only gets its newline; any other is truncated away with a warning,
-    so the next line does not turn it into corruption mid-journal.
+    A line counts once its newline is written, so bytes after the last
+    newline are a torn append that no read returned.  Cutting them keeps
+    the next line from joining them into a complete line that does not
+    parse.
     """
     try:
         fh = open(path, "rb+")
     except FileNotFoundError:
         return
     with fh:
-        start = fh.seek(0, os.SEEK_END)
+        end = start = fh.seek(0, os.SEEK_END)
         tail = b""
         while start and b"\n" not in tail:
             step = min(start, 4096)
             start -= step
             fh.seek(start)
             tail = fh.read(step) + tail
-        cut = tail.rfind(b"\n") + 1
-        fragment = tail[cut:]
-        if not fragment:
-            return
-        try:
-            json.loads(fragment)
-        except ValueError:
+        cut = start + tail.rfind(b"\n") + 1
+        if cut < end:
             logger.warning("job %s: dropping a torn journal line of %d bytes "
-                           "before appending", job_id, len(fragment))
-            fh.truncate(start + cut)
-        else:
-            fh.seek(0, os.SEEK_END)
-            fh.write(b"\n")
+                           "before appending", job_id, end - cut)
+            fh.truncate(cut)
 
 
 class JobStore:
@@ -265,12 +261,11 @@ class JobStore:
 
         Only the journal lines that contain ``job_status_changed`` are
         parsed: the status is the last status event among them, or
-        ``created`` when there is none.  A torn final line is skipped, as
-        :meth:`read_events` skips it; a status line that does not parse
-        anywhere else raises ``CorruptStoreError``.  Corruption in any
-        other line is left to :meth:`load_job`.  A ``stopping`` request in
-        job.json, read through :meth:`read_config`, overrides any status
-        but ``completed``.
+        ``created`` when there is none.  A status line that does not parse
+        raises ``CorruptStoreError``; corruption in any other line is left
+        to :meth:`load_job`.  A ``stopping`` request in job.json, read
+        through :meth:`read_config`, overrides any status but
+        ``completed``.
         """
         request = self.read_config(job_id)[2]
         return _with_stop_request(
@@ -373,7 +368,11 @@ class JobStore:
         self._status_keys.clear()
 
     def _journal_bytes(self, job_id: str) -> bytes:
-        """events.log's bytes, then this store's unsynced lines."""
+        """events.log's complete lines, then this store's unsynced lines.
+
+        The result is empty or ends with a newline: bytes after the
+        file's last newline are a torn append, left out with a warning.
+        """
         path = self._events_path(job_id)
         if not path.is_file():
             if not self.job_exists(job_id):
@@ -383,22 +382,26 @@ class JobStore:
             raw = path.read_bytes()
         except OSError as exc:
             raise StoreError(f"cannot read events.log: {exc}") from exc
+        cut = raw.rfind(b"\n") + 1
+        if cut < len(raw):
+            logger.warning("job %s: discarding torn final journal line "
+                           "(%d bytes)", job_id, len(raw) - cut)
+            raw = raw[:cut]
         return raw + "".join(self._pending.get(job_id, ())).encode("utf-8")
 
     def read_events(self, job_id: str) -> list[dict]:
-        """All parseable journal entries, tolerating a torn final line.
+        """The journal's entries, then this store's unsynced ones.
 
-        The entries are the journal's, then this store's unsynced ones.
-        A line that is not UTF-8 is unparseable like any other bad line.
+        A line that does not parse as UTF-8 JSON raises
+        ``CorruptStoreError`` naming its number.
         """
         raw = self._journal_bytes(job_id)
         if not raw:
             return []
-        if raw.endswith(b"\n"):
-            raw = raw[:-1]
+        raw = raw[:-1]
         # One parse of the whole journal as an array, accepted only when it
         # holds one object per line; otherwise the line-by-line loop finds
-        # the torn or corrupt line.
+        # the corrupt line.
         try:
             events = json.loads(
                 "[" + raw.decode("utf-8").replace("\n", ",\n") + "]")
@@ -410,17 +413,12 @@ class JobStore:
                 return events
         lines = raw.split(b"\n")
         events = []
-        for index, line in enumerate(lines):
+        for number, line in enumerate(lines, start=1):
             try:
                 events.append(json.loads(line.decode("utf-8")))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                if index == len(lines) - 1:
-                    logger.warning(
-                        "job %s: discarding torn final journal line (%s)",
-                        job_id, exc)
-                    break
                 raise CorruptStoreError(
-                    f"corrupt journal line {index + 1} for job {job_id!r}"
+                    f"corrupt journal line {number} for job {job_id!r}"
                 ) from exc
         return events
 
@@ -502,25 +500,18 @@ def _with_stop_request(status: str, request: str) -> str:
 def _last_status(job_id: str, raw: bytes) -> str:
     """The status of the journal's last ``job_status_changed`` event.
 
-    ``raw`` is split into lines as :meth:`JobStore.read_events` splits it,
-    but only the lines holding ``job_status_changed`` are parsed.
+    ``raw`` holds complete lines, as :meth:`JobStore._journal_bytes`
+    returns them; only the lines holding ``job_status_changed`` are parsed.
     """
-    if raw.endswith(b"\n"):
-        raw = raw[:-1]
-    final = raw.rfind(b"\n") + 1
     status = "created"
     hit = raw.find(b"job_status_changed")
     while hit >= 0:
         start = raw.rfind(b"\n", 0, hit) + 1
         stop = raw.find(b"\n", hit)
-        if stop < 0:
-            stop = len(raw)
         hit = raw.find(b"job_status_changed", stop)
         try:
             event = json.loads(raw[start:stop].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            if start == final:
-                break
             number = raw.count(b"\n", 0, start) + 1
             raise CorruptStoreError(
                 f"corrupt journal line {number} for job {job_id!r}") from exc

@@ -149,49 +149,13 @@ class Executor(Protocol):
     def shutdown(self) -> None: ...
 
 
-class _StopFlags:
-    """Thread-safe stop flags, one per attempt that has not yet returned.
-
-    Shared by both executors.  A flag lives from its attempt's launch to
-    the return of its run, so an executor holds none for finished trials.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._flags: dict[str, threading.Event] = {}
-
-    def register(self, trial_id: str) -> threading.Event:
-        """A fresh flag for a new attempt; it replaces any older one."""
-        flag = threading.Event()
-        with self._lock:
-            self._flags[trial_id] = flag
-        return flag
-
-    def release(self, trial_id: str, flag: threading.Event) -> None:
-        """Drop ``flag`` if it is still the trial's, not a retry's newer one."""
-        with self._lock:
-            if self._flags.get(trial_id) is flag:
-                del self._flags[trial_id]
-
-    def set(self, trial_id: str) -> None:
-        """Stop the trial's current attempt; a no-op once it has returned."""
-        with self._lock:
-            flag = self._flags.get(trial_id)
-        if flag is not None:
-            flag.set()
-
-    def set_all(self) -> None:
-        with self._lock:
-            flags = list(self._flags.values())
-        for flag in flags:
-            flag.set()
-
-
 class _PooledExecutor:
     """Runs each trial's ``_run`` on a thread pool with a per-trial stop flag.
 
-    Subclasses set ``kind`` to the ``ExecutorSpec.kind`` they accept and
-    implement ``_run(trial_id, config, seed, emit, stop)``.
+    A flag lives from its attempt's launch to the return of its run, so an
+    executor holds none for finished trials.  Subclasses set ``kind`` to
+    the ``ExecutorSpec.kind`` they accept and implement
+    ``_run(trial_id, config, seed, emit, stop)``.
     """
 
     kind: str
@@ -206,7 +170,9 @@ class _PooledExecutor:
         self._metric = objective_metric
         self._pool = ThreadPoolExecutor(max_workers=max_workers,
                                         thread_name_prefix="trial")
-        self._stops = _StopFlags()
+        self._lock = threading.Lock()
+        # The stop flag of each attempt that has not yet returned.
+        self._stops: dict[str, threading.Event] = {}
 
     @property
     def spec(self) -> ExecutorSpec:
@@ -214,7 +180,9 @@ class _PooledExecutor:
 
     def launch(self, trial_id: str, config: Configuration, seed: int,
                emit: EmitFn) -> None:
-        flag = self._stops.register(trial_id)
+        flag = threading.Event()
+        with self._lock:
+            self._stops[trial_id] = flag  # replaces an older attempt's
         self._pool.submit(self._attempt, trial_id, config, seed, emit, flag)
 
     def _attempt(self, trial_id: str, config: Configuration, seed: int,
@@ -222,15 +190,25 @@ class _PooledExecutor:
         try:
             self._run(trial_id, config, seed, emit, flag)
         finally:
-            self._stops.release(trial_id, flag)
+            # Only this attempt's flag: a retry's newer one stays.
+            with self._lock:
+                if self._stops.get(trial_id) is flag:
+                    del self._stops[trial_id]
 
     def request_stop(self, trial_id: str) -> None:
-        self._stops.set(trial_id)
+        """Stop the trial's current attempt; a no-op once it has returned."""
+        with self._lock:
+            flag = self._stops.get(trial_id)
+        if flag is not None:
+            flag.set()
 
     def shutdown(self) -> None:
         # Each trial sees its flag at its next check and returns (a child
         # process group is killed within one poll).
-        self._stops.set_all()
+        with self._lock:
+            flags = list(self._stops.values())
+        for flag in flags:
+            flag.set()
         self._pool.shutdown(wait=True)
 
 

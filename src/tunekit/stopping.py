@@ -86,10 +86,13 @@ class MetricCurve:
         return self.points[-1][1] if self.points else None
 
     def best_value(self, goal: Goal = "minimize") -> float | None:
-        """Best value seen anywhere on the curve."""
+        """Best value seen anywhere on the curve, NaN values left out; NaN
+        when every value is NaN."""
         if not self.points:
             return None
-        values = [v for _, v in self.points]
+        values = [v for _, v in self.points if not math.isnan(v)]
+        if not values:
+            return math.nan
         return min(values) if goal == "minimize" else max(values)
 
 

@@ -169,6 +169,23 @@ class TestRun:
         assert str(path) in capsys.readouterr().err
         assert not (store_root / "cli-job").exists()
 
+    @pytest.mark.parametrize("key, mutate", [
+        ("values", lambda p: p["space"].__setitem__(
+            0, {"name": "x1", "type": "categorical", "values": "sgd"})),
+        ("command", lambda p: p.__setitem__(
+            "executor", {"kind": "external", "command": "python train.py"})),
+        ("warm_start_parents",
+         lambda p: p.__setitem__("warm_start_parents", "prev")),
+    ], ids=["values", "command", "warm_start_parents"])
+    def test_string_for_a_list_is_config_error(self, tmp_path, capsys, key,
+                                               mutate):
+        # Read as a sequence, the string would split into characters.
+        path = write_config(tmp_path, mutate=mutate)
+        store_root = tmp_path / "store"
+        assert main(["run", str(path), "--store", str(store_root)]) == 2
+        assert f"{key!r} must be a JSON array" in capsys.readouterr().err
+        assert not (store_root / "cli-job").exists()
+
     def test_rerun_of_stored_job_without_executor_fails(self, tmp_path,
                                                         capsys):
         path = write_config(tmp_path)
@@ -381,6 +398,22 @@ class TestInspection:
         assert main(["describe", "cli-job", "--store",
                      str(finished_store)]) == 1
         assert "corrupt journal line" in capsys.readouterr().err
+
+    def test_complete_corrupt_final_line_is_unreadable(self, finished_store,
+                                                       capsys):
+        # A final status line whose newline was written but that does not
+        # parse is corruption, not a torn append to skip.
+        events = finished_store / "cli-job" / "events.log"
+        lines = events.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert json.loads(lines[-1])["type"] == "job_status_changed"
+        lines[-1] = '{"type":"job_status_changed","sta\n'
+        events.write_text("".join(lines), encoding="utf-8")
+        assert main(["list", "--store", str(finished_store)]) == 0
+        assert capsys.readouterr().out == "cli-job\tunreadable\n"
+        assert main(["describe", "cli-job", "--store",
+                     str(finished_store)]) == 1
+        assert (f"corrupt journal line {len(lines)}"
+                in capsys.readouterr().err)
 
     def test_stop_marks_created_job_stopping(self, tmp_path, capsys):
         store = JobStore(tmp_path / "store")

@@ -250,14 +250,12 @@ class TestJournal:
                            match="corrupt journal line 2 for job 'job-a'"):
             store.read_events("job-a")
 
-    def test_non_utf8_final_line_is_dropped_with_a_warning(self, store,
-                                                          caplog):
+    def test_non_utf8_final_line_names_its_number(self, store):
+        # Its newline was written, so it is a line, and a corrupt one.
         self._write_non_utf8_line(store, 2)
-        with caplog.at_level(logging.WARNING, logger="tunekit.jobstore"):
-            assert store.read_events("job-a") == [
-                launched("trial-0001"), metric("trial-0001", 1, 2.5)]
-        assert [r.message.split(" (")[0] for r in caplog.records] == [
-            "job job-a: discarding torn final journal line"]
+        with pytest.raises(CorruptStoreError,
+                           match="corrupt journal line 3 for job 'job-a'"):
+            store.read_events("job-a")
 
     def test_empty_journal(self, store):
         store.create_job(make_config(), EXECUTOR)
@@ -276,19 +274,50 @@ class TestJournal:
                                               metric("trial-0001", 1, 2.5)]
         assert any("dropping a torn" in r.message for r in caplog.records)
 
-    def test_append_after_unterminated_line_ends_it(self, store, caplog):
-        # A crash between a line and its newline: the line was replayed,
-        # so it stays, and the next append starts a line of its own.
+    def test_append_after_unterminated_line_drops_it(self, store, caplog):
+        # A crash between a line and its newline: the sync never returned,
+        # so the line does not exist, even though it parses.
         store.create_job(make_config(), EXECUTOR)
-        with open(store.job_dir("job-a") / "events.log", "a") as fh:
-            fh.write(json.dumps(launched("trial-0001")))
-        assert store.read_events("job-a") == [launched("trial-0001")]
-        with caplog.at_level(logging.WARNING, logger="tunekit.jobstore"):
-            store.append_event("job-a", metric("trial-0001", 1, 2.5))
+        store.append_event("job-a", launched("trial-0001"))
         store.close()
-        assert store.read_events("job-a") == [launched("trial-0001"),
-                                              metric("trial-0001", 1, 2.5)]
-        assert not caplog.records
+        with open(store.job_dir("job-a") / "events.log", "a") as fh:
+            fh.write(json.dumps(launched("trial-0002")))
+        with caplog.at_level(logging.WARNING, logger="tunekit.jobstore"):
+            assert store.read_events("job-a") == [launched("trial-0001")]
+            store.append_event("job-a", launched("trial-0003"))
+            store.close()
+        read, append = [r.message for r in caplog.records]
+        assert read.startswith("job job-a: discarding torn final journal line")
+        assert append.startswith("job job-a: dropping a torn journal line")
+        assert journal_lines(store) == [launched("trial-0001"),
+                                        launched("trial-0003")]
+
+    def test_every_cut_keeps_the_lines_whose_newline_precedes_it(
+            self, store, caplog):
+        # A crash can leave any prefix of the journal on disk.
+        store.create_job(make_config(), EXECUTOR)
+        events = [status_event("running"), launched("trial-0001"),
+                  metric("trial-0001", 1, 2.5), completed("trial-0001", 2.5),
+                  status_event("completed")]
+        for event in events:
+            store.append_event("job-a", event)
+        store.close()
+        path = store.job_dir("job-a") / "events.log"
+        journal = path.read_bytes()
+        ends = [i for i, byte in enumerate(journal) if byte == ord("\n")]
+        extra = launched("trial-0002")
+        caplog.set_level(logging.ERROR, logger="tunekit.jobstore")
+        for cut in range(len(journal) + 1):
+            kept = events[:sum(end < cut for end in ends)]
+            path.write_bytes(journal[:cut])
+            reader = JobStore(store.root)
+            assert reader.read_events("job-a") == kept, cut
+            assert reader.job_status("job-a") == (
+                reader.load_job("job-a")[2].status), cut
+            reader.append_event("job-a", extra)
+            reader.sync("job-a")
+            reader.close()
+            assert journal_lines(store) == kept + [extra], cut
 
 
 class TestSync:
@@ -696,6 +725,22 @@ class TestJobStatus:
             store.load_job("job-a")
         with pytest.raises(CorruptStoreError, match="journal line 1 "):
             store.job_status("job-a")
+        assert store.list_jobs() == [("job-a", "unreadable")]
+
+    @pytest.mark.parametrize("bad", [b'{"type":"job_status_changed","sta',
+                                     b'{"\xfftype":"job_status_changed"}'])
+    def test_complete_final_status_line_that_does_not_parse_is_corrupt(
+            self, store, bad):
+        # Its newline was written: a corrupt line, not a torn one.
+        completed_job(store)
+        store.close()
+        path = store.job_dir("job-a") / "events.log"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:-1]) + bad + b"\n")
+        match = f"corrupt journal line {len(lines)} for job 'job-a'"
+        for read in (store.read_events, store.load_job, store.job_status):
+            with pytest.raises(CorruptStoreError, match=match):
+                read("job-a")
         assert store.list_jobs() == [("job-a", "unreadable")]
 
 

@@ -235,14 +235,14 @@ class TestBuiltinExecutor:
             for sink in sinks:
                 sink.wait()
             deadline = time.monotonic() + 5.0
-            while executor._stops._flags and time.monotonic() < deadline:
+            while executor._stops and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert executor._stops._flags == {}
+            assert executor._stops == {}
             # A stop after the trial finished, or for a trial never
             # launched, creates no flag.
             executor.request_stop("trial-0001")
             executor.request_stop("trial-0099")
-            assert executor._stops._flags == {}
+            assert executor._stops == {}
         finally:
             executor.shutdown()
 

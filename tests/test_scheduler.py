@@ -122,6 +122,18 @@ class NanCurveExecutor(BuiltinExecutor):
         emit(TrialEvent("completed", trial_id))
 
 
+class NanFirstExecutor(BuiltinExecutor):
+    """Builtin executor whose every trial reports ``nan`` at iteration 1."""
+
+    def _run(self, trial_id, config, seed, emit, stop):
+        def first_nan(event):
+            if event.kind == "metric" and event.iteration == 1:
+                event = dataclasses.replace(event, value=math.nan)
+            emit(event)
+
+        super()._run(trial_id, config, seed, first_nan, stop)
+
+
 class FlakyExecutor:
     """Fails chosen attempts of chosen trials, then delegates."""
 
@@ -944,6 +956,23 @@ class TestRunJob:
         assert state.trials["trial-0001"].status == "completed"
         assert state.count("early_stopped") > 0
 
+    def test_stopped_trial_with_a_nan_first_report_is_an_observation(
+            self, tmp_path):
+        spec = ExecutorSpec(kind="builtin", benchmark="curve-sim", iterations=10)
+        config = make_config(space=get_benchmark("curve-sim").space,
+                             max_trials=30, early_stopping="median", seed=3)
+        executor = NanFirstExecutor(spec, "loss", 1)
+        try:
+            state = run_to_completion(tmp_path / "s", config, executor=executor)
+        finally:
+            executor.shutdown()
+        stopped = [t for t in state.trials.values()
+                   if t.status == "early_stopped"]
+        assert stopped
+        for trial in stopped:
+            assert trial.final_value == min(v for _, v in trial.curve.points[1:])
+            assert trial.has_observation
+
     def test_stop_request_halts_gracefully(self, tmp_path):
         spec = ExecutorSpec(kind="builtin", benchmark="branin",
                             iterations=2, delay=0.05)
@@ -1112,9 +1141,9 @@ class TestRunJob:
                                       executor=executor)
             # A stopped attempt returns at its next check of the flag.
             deadline = time.monotonic() + 5.0
-            while executor._stops._flags and time.monotonic() < deadline:
+            while executor._stops and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert executor._stops._flags == {}
+            assert executor._stops == {}
         finally:
             executor.shutdown()
         assert state.count("early_stopped") >= 1

@@ -67,6 +67,15 @@ class TestMetricCurve:
         assert c.best_value("maximize") == 3.0
         assert MetricCurve("t").best_value() is None
 
+    @pytest.mark.parametrize("values", [[math.nan, 0.5, 2.0],
+                                        [2.0, math.nan, 0.5],
+                                        [0.5, 2.0, math.nan]])
+    def test_best_value_skips_nan(self, values):
+        c = curve("t", values)
+        assert c.best_value("minimize") == 0.5
+        assert c.best_value("maximize") == 2.0
+        assert math.isnan(curve("t", [math.nan, math.nan]).best_value())
+
 
 def threshold(curves) -> float:
     return CompletedCurves(curves).threshold()
