@@ -279,7 +279,7 @@ def _executor_from_record(record: dict) -> ExecutorSpec:
                 workdir=record.get("workdir"),
                 timeout=float(record.get("timeout", 3600.0)),
             ))
-    except (ExecutorSpecError, ValueError, KeyError) as exc:
+    except (ExecutorSpecError, ValueError, KeyError, TypeError) as exc:
         raise JobConfigError(f"invalid executor block: {exc}") from exc
     raise JobConfigError(f"unknown executor kind {kind!r}")
 

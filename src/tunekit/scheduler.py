@@ -2,17 +2,19 @@
 
 One coordinator (the thread calling :func:`run_job`) owns all mutable job
 state.  Trials execute concurrently through an executor and talk back only
-via an ordered event queue.  The loop fills the free slots, then, while
-any trial runs, handles one event, and fills again when that event took
-its trial out of ``running``; the job is done when a fill leaves nothing
-running.  Filling relaunches pending retries first, and only then proposes
-new trials: the surrogate is refit on everything observed so far, so slots
-never wait for each other.  A new trial is refused once the budget is
-spent or a stop was requested; the stop request (``stopping`` in job.json,
-which the coordinator never writes) is checked only at that decision:
-job.json is stat'ed once per proposed launch and parsed only when it
-changed, and in-flight trials run to their end.  Handlers only decide
-what happens: each transition is journaled first and then applied through
+through one ``queue.SimpleQueue``: it is FIFO across all emitting threads,
+and only the coordinator reads it, so the coordinator takes no lock of its
+own.  The loop fills the free slots, then, while any trial runs, handles
+one event, and fills again when that event took its trial out of
+``running``; the job is done when a fill leaves nothing running.  Filling
+relaunches pending retries first, and only then proposes new trials: the
+surrogate is refit on everything observed so far, so slots never wait for
+each other.  A new trial is refused once the budget is spent or a stop was
+requested; the stop request (``stopping`` in job.json, which the
+coordinator never writes) is checked only at that decision: job.json is
+stat'ed once per proposed launch and parsed only when it changed, and
+in-flight trials run to their end.  Handlers only decide what happens:
+each transition is journaled first and then applied through
 :func:`~tunekit.jobstore.apply_event`, the transition function replay
 uses, so a crash at any event boundary is recoverable by replay.
 
@@ -215,7 +217,7 @@ class _Coordinator:
         self.store = store
         self.executor = executor
         self.state = state
-        self.events: queue.Queue[TrialEvent] = queue.Queue()
+        self.events: queue.SimpleQueue[TrialEvent] = queue.SimpleQueue()
         self.stop_requested = state.status == "stopping"
         self.stop_unreadable = False
         # Derived from the state, so a resumed job starts from its journal.

@@ -186,6 +186,25 @@ class TestRun:
         assert f"{key!r} must be a JSON array" in capsys.readouterr().err
         assert not (store_root / "cli-job").exists()
 
+    @pytest.mark.parametrize("value", [None, [1], {"n": 1}],
+                             ids=["null", "list", "object"])
+    @pytest.mark.parametrize("kind, key", [
+        ("builtin", "iterations"), ("builtin", "noise_std"),
+        ("external", "timeout"),
+    ])
+    def test_executor_number_of_wrong_json_type_is_config_error(
+            self, tmp_path, capsys, kind, key, value):
+        block = ({"kind": "builtin", "benchmark": "branin"}
+                 if kind == "builtin" else
+                 {"kind": "external", "command": ["true"]})
+        block[key] = value
+        path = write_config(
+            tmp_path, mutate=lambda p: p.__setitem__("executor", block))
+        store_root = tmp_path / "store"
+        assert main(["run", str(path), "--store", str(store_root)]) == 2
+        assert "invalid executor block" in capsys.readouterr().err
+        assert not (store_root / "cli-job").exists()
+
     def test_rerun_of_stored_job_without_executor_fails(self, tmp_path,
                                                         capsys):
         path = write_config(tmp_path)

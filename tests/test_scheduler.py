@@ -282,6 +282,8 @@ class WriteAheadExecutor:
         return FAST_BRANIN
 
     def launch(self, trial_id, config, seed, emit) -> None:
+        # Without the patched queue the coordinator would block forever.
+        assert isinstance(emit.__self__, WaitingQueue), emit
         self.store.check("launch")
         self.seen[trial_id] = n = self.seen.get(trial_id, 0) + 1
         if n <= self.fail_plan.get(trial_id, 0):
@@ -309,7 +311,7 @@ class WriteAheadExecutor:
         pass
 
 
-class WaitingQueue(queue.Queue):
+class WaitingQueue(queue.SimpleQueue):
     """An event queue that, when the coordinator blocks on it empty,
     checks the journal and then lets the executor emit one event."""
 
@@ -973,6 +975,33 @@ class TestRunJob:
             assert trial.final_value == min(v for _, v in trial.curve.points[1:])
             assert trial.has_observation
 
+    @pytest.mark.parametrize("early_stopping", ["off", "median"])
+    def test_concurrent_emitters_journal_each_curve_in_order(
+            self, tmp_path, early_stopping):
+        spec = ExecutorSpec(kind="builtin", benchmark="curve-sim",
+                            iterations=100)
+        config = make_config(space=get_benchmark("curve-sim").space,
+                             max_trials=24, max_parallel=4,
+                             early_stopping=early_stopping, seed=43)
+        state = run_to_completion(tmp_path / "s", config, spec=spec)
+        assert state.terminal_count == 24
+        assert (state.count("early_stopped") > 0) == (early_stopping == "median")
+        store = JobStore(tmp_path / "s")
+        by_trial: dict[str, list[dict]] = {}
+        for event in store.read_events(config.job_id):
+            if "trial_id" in event:
+                by_trial.setdefault(event["trial_id"], []).append(event)
+        store.close()
+        assert len(by_trial) == 24
+        for first, *metrics, last in by_trial.values():
+            assert first["type"] == "trial_launched"
+            assert {e["type"] for e in metrics} <= {"metric_reported"}
+            assert [e["iteration"] for e in metrics] == list(
+                range(1, len(metrics) + 1))
+            # Reports after a stop are dropped, so the stop ends the trial.
+            if last["type"] != "trial_stopped":
+                assert (last["type"], len(metrics)) == ("trial_completed", 100)
+
     def test_stop_request_halts_gracefully(self, tmp_path):
         spec = ExecutorSpec(kind="builtin", benchmark="branin",
                             iterations=2, delay=0.05)
@@ -1243,7 +1272,8 @@ class TestRunJob:
         store = SyncCountingStore(tmp_path / "s")
         executor = WriteAheadExecutor(store, {"trial-0003": 1,
                                               "trial-0009": 2})
-        monkeypatch.setattr(queue, "Queue", lambda: WaitingQueue(executor))
+        monkeypatch.setattr(queue, "SimpleQueue",
+                            lambda: WaitingQueue(executor))
         try:
             state = run_job(config, store, executor)
             # Nothing is left for close() to sync.
