@@ -603,7 +603,8 @@ def replay_events(config: TuningJobConfig, events: list[dict]) -> TuningJobState
     for index, event in enumerate(events, start=1):
         try:
             apply_event(config, state, event)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
             raise CorruptStoreError(
                 f"malformed journal event {index} for job {config.job_id!r}: "
                 f"{type(exc).__name__}: {exc}") from exc

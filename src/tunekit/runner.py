@@ -120,9 +120,14 @@ def validate_executor_spec(spec: ExecutorSpec) -> ExecutorSpec:
     return spec
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrialEvent:
-    """One message from a running trial to the coordinator."""
+    """One message from a running trial to the coordinator.
+
+    Not frozen, since a frozen dataclass costs several times more to build
+    and each trial emits one per report; an emitted event belongs to the
+    coordinator and must not be changed.
+    """
 
     kind: Literal["metric", "completed", "failed"]
     trial_id: str
@@ -242,19 +247,23 @@ class BuiltinExecutor(_PooledExecutor):
         try:
             rng = np.random.default_rng(seed)
             delay = self._trial_delay(config)
+            # Bound once per attempt: the loop body runs once per report.
+            curve_value = self._benchmark.curve_value
+            evaluate = self._benchmark.evaluate
+            noise_std, metric, stopped = spec.noise_std, self._metric, stop.is_set
             for r in range(1, spec.iterations + 1):
-                if stop.is_set():
+                if stopped():
                     return
                 if delay > 0:
                     time.sleep(delay)
-                if self._benchmark.curve_value is not None:
-                    value = self._benchmark.curve_value(config, r)
+                if curve_value is not None:
+                    value = curve_value(config, r)
                 else:
-                    value = self._benchmark.evaluate(config)
-                if spec.noise_std > 0:
-                    value += spec.noise_std * rng.standard_normal()
-                emit(TrialEvent("metric", trial_id, self._metric, r, float(value)))
-            if stop.is_set():
+                    value = evaluate(config)
+                if noise_std > 0:
+                    value += noise_std * rng.standard_normal()
+                emit(TrialEvent("metric", trial_id, metric, r, float(value)))
+            if stopped():
                 return
             emit(TrialEvent("completed", trial_id))
         except Exception:

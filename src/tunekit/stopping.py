@@ -106,6 +106,13 @@ class StopDecision:
         return self.verdict == "stop"
 
 
+# The rule's four outcomes, shared by every call.
+_BELOW_ACTIVATION = StopDecision("continue", "below_activation")
+_NO_QUORUM = StopDecision("continue", "no_quorum")
+_WORSE = StopDecision("stop", "worse_than_median")
+_NOT_WORSE = StopDecision("continue", "not_worse")
+
+
 def _sorted_median(values: list[float]) -> float:
     """The median of a sorted, NaN-free, non-empty list, as ``np.median``
     computes it: the middle element, or the mean of the two middle ones."""
@@ -190,12 +197,10 @@ def median_rule(running: MetricCurve, completed: CompletedCurves, r: int,
             f"trial {running.trial_id!r} has no value at iteration {r}"
         )
     if r < completed.threshold():
-        return StopDecision("continue", "below_activation")
+        return _BELOW_ACTIVATION
     values = completed.contributions(r)
     if len(values) < QUORUM:
-        return StopDecision("continue", "no_quorum")
+        return _NO_QUORUM
     median = _sorted_median(values)
     worse = running_value > median if goal == "minimize" else running_value < median
-    if worse:
-        return StopDecision("stop", "worse_than_median")
-    return StopDecision("continue", "not_worse")
+    return _WORSE if worse else _NOT_WORSE

@@ -282,6 +282,25 @@ class TestInspection:
         assert err.startswith("error:")
         assert f"journal event {index + 1} " in err
 
+    @pytest.mark.parametrize("etype,field", [
+        ("trial_launched", "attempt"), ("metric_reported", "iteration")])
+    def test_infinite_integer_field_fails_cleanly(self, finished_store,
+                                                  capsys, etype, field):
+        events = finished_store / "cli-job" / "events.log"
+        lines = events.read_text(encoding="utf-8").splitlines(keepends=True)
+        index = next(i for i, line in enumerate(lines)
+                     if json.loads(line)["type"] == etype)
+        event = json.loads(lines[index])
+        event[field] = float("inf")
+        lines[index] = json.dumps(event) + "\n"
+        assert "Infinity" in lines[index]
+        events.write_text("".join(lines), encoding="utf-8")
+        assert main(["describe", "cli-job", "--store",
+                     str(finished_store)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"journal event {index + 1} " in err
+
     @pytest.mark.parametrize("name", ["events.log", "job.json"])
     def test_non_utf8_byte_fails_cleanly(self, finished_store, capsys, name):
         # A byte that is not UTF-8 inside the first key of the journal's

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import sys
 import threading
@@ -517,6 +518,10 @@ class TestReplay:
          "iteration": None, "value": 1.0},
         {"type": "trial_launched", "trial_id": "trial-0002"},
         ["trial_completed", "trial-0001"],
+        # int() of an infinity raises OverflowError
+        launched("trial-0002", attempt=math.inf),
+        launched("trial-0001", attempt=-math.inf),
+        metric("trial-0001", math.inf, 1.0),
     ])
     def test_malformed_event_names_its_index(self, bad):
         with pytest.raises(CorruptStoreError, match="journal event 2 "):

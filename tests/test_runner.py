@@ -8,6 +8,7 @@ import tempfile
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from tunekit.benchmarks import branin, curve_sim_value
@@ -20,6 +21,7 @@ from tunekit.runner import (
     ExecutorSpec,
     ExecutorSpecError,
     ExternalExecutor,
+    TrialEvent,
     make_executor,
     validate_executor_spec,
 )
@@ -166,6 +168,25 @@ class TestBuiltinExecutor:
         for event in sink.metrics("loss"):
             assert event.value == pytest.approx(
                 curve_sim_value(config, event.iteration))
+
+    @pytest.mark.parametrize("name,config,truth", [
+        ("curve-sim", Configuration({"u1": 0.3, "u2": 0.9}), curve_sim_value),
+        ("branin", BRANIN_CONFIG, lambda config, r: branin(2.5, 7.5)),
+    ], ids=["curve-sim", "branin"])
+    def test_noisy_emissions_are_pinned_bit_for_bit(self, name, config,
+                                                    truth):
+        # Report r carries the benchmark's value plus noise_std times the
+        # r-th standard-normal draw of the trial seed's generator.
+        spec = ExecutorSpec(kind="builtin", benchmark=name,
+                            iterations=6, noise_std=0.3)
+        sink = self.run_one(spec, config, seed=42)
+        rng = np.random.default_rng(42)
+        expected = [
+            TrialEvent("metric", "trial-0001", "loss", r,
+                       truth(config, r) + 0.3 * rng.standard_normal())
+            for r in range(1, 7)]
+        expected.append(TrialEvent("completed", "trial-0001"))
+        assert sink.events == expected
 
     def test_noise_is_seed_deterministic(self):
         spec = ExecutorSpec(kind="builtin", benchmark="branin",

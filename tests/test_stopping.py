@@ -167,6 +167,27 @@ class TestMedianRule:
                                goal="maximize")
         assert decision.should_stop
 
+    @pytest.mark.parametrize("goal,worse,better", [
+        ("minimize", 0.8, 0.4), ("maximize", 0.4, 0.8)])
+    def test_four_outcomes_by_verdict_and_reason(self, goal, worse, better):
+        # Activation is at 5 and the median at 10 is 0.6; the late curve
+        # gives no reference at 10, which leaves three.
+        late = CompletedCurves(
+            standard_curves()[:3] + [curve("late", [0.5] * 5, start=15)])
+        cases = [
+            (flat("r", worse, 4), standard_completed(), 4,
+             "continue", "below_activation"),
+            (flat("r", worse, 10), late, 10, "continue", "no_quorum"),
+            (flat("r", worse, 10), standard_completed(), 10,
+             "stop", "worse_than_median"),
+            (flat("r", better, 10), standard_completed(), 10,
+             "continue", "not_worse"),
+        ]
+        for running, completed, r, verdict, reason in cases:
+            decision = median_rule(running, completed, r, goal)
+            assert (decision.verdict, decision.reason) == (verdict, reason)
+            assert decision.should_stop == (verdict == "stop")
+
     @settings(max_examples=60, deadline=None)
     @given(
         running_value=st.floats(min_value=-10, max_value=10),
