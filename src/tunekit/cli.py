@@ -1,7 +1,7 @@
 """Command-line front end: run, list, describe, stop, and export jobs.
 
 The run command takes a JSON config file in exactly the job.json schema
-(see jobstore), so a stored job can be re-submitted verbatim.  Exit codes:
+(see jobs), so a stored job can be re-submitted verbatim.  Exit codes:
 0 success, 1 job or store failure, 2 config error, 130 on interrupt.
 An interrupted or crashed run resumes from its journal when re-invoked
 with the same job id.  Log records at ``--log-level`` (default WARNING)

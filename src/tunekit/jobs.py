@@ -16,14 +16,13 @@ from typing import Literal
 
 import numpy as np
 
-from .runner import ExecutorSpec, ExecutorSpecError, validate_executor_spec
-from .space import (
-    Configuration,
-    Dimension,
-    SearchSpace,
-    SpaceError,
-    validate_space,
-)
+from .benchmarks import UnknownBenchmarkError
+from .runner import (EXECUTOR_FIELDS, ExecutorSpec, ExecutorSpecError,
+                     validate_executor_spec)
+from .space import (AT_LEAST_0, AT_LEAST_1, DIMENSION_FIELDS, NOT_EMPTY,
+                    Configuration, Dimension, Field, SearchSpace, SpaceError,
+                    check_fields, field_defaults, one_of, read_record,
+                    validate_space, write_record)
 from .stopping import MetricCurve
 
 __all__ = [
@@ -79,35 +78,22 @@ class TuningJobConfig:
 
 
 def validate_job_config(config: TuningJobConfig) -> TuningJobConfig:
-    if not JOB_ID_RE.match(config.job_id):
-        raise JobConfigError(
-            f"job_id {config.job_id!r} must match [a-z0-9-]{{1,64}}"
-        )
+    """Check ``config`` by the rows of its fields, then its cross-field rules."""
+    check_fields(config, _JOB_FIELDS, JobConfigError)
+    check_fields(config.objective, _OBJECTIVE_FIELDS, JobConfigError,
+                 "objective: ")
     try:
         validate_space(config.space)
     except SpaceError as exc:
         raise JobConfigError(f"invalid search space: {exc}") from exc
-    if config.max_trials < 1:
-        raise JobConfigError("max_trials must be >= 1")
-    if config.max_parallel < 1:
-        raise JobConfigError("max_parallel must be >= 1")
     if config.max_parallel > config.max_trials:
         raise JobConfigError("max_parallel must not exceed max_trials")
-    if config.strategy not in ("bayesian", "random"):
-        raise JobConfigError(f"unknown strategy {config.strategy!r}")
-    if config.objective.goal not in ("minimize", "maximize"):
-        raise JobConfigError(f"unknown goal {config.objective.goal!r}")
-    if config.early_stopping not in ("off", "median"):
-        raise JobConfigError(f"unknown early_stopping {config.early_stopping!r}")
-    if not config.objective.name:
-        raise JobConfigError("objective needs a metric name")
-    if config.retry_limit < 0:
-        raise JobConfigError("retry_limit must be >= 0")
-    if config.seed < 0:
-        raise JobConfigError("seed must be >= 0")
-    for parent in config.warm_start_parents:
-        if not JOB_ID_RE.match(parent):
-            raise JobConfigError(f"invalid parent job id {parent!r}")
+    # A parent listed twice, or the job itself on resume, would feed each
+    # of its observations to the surrogate twice.
+    parents = config.warm_start_parents
+    if len({*parents, config.job_id}) <= len(parents):
+        raise JobConfigError(f"'warm_start_parents' must hold distinct ids "
+                             f"other than the job's own, not {list(parents)!r}")
     return config
 
 
@@ -200,105 +186,72 @@ class TuningJobState:
 
 # --- JSON schema -----------------------------------------------------------
 
-def _dimension_to_record(dim: Dimension) -> dict:
-    if dim.kind == "categorical":
-        return {"name": dim.name, "type": "categorical",
-                "values": list(dim.categories or ())}
-    record = {"name": dim.name, "type": dim.kind,
-              "min": dim.lower, "max": dim.upper}
-    if dim.scaling != "linear":
-        record["scaling"] = dim.scaling
-    return record
-
-
-def _array(record: dict, key: str) -> list:
-    """``record[key]``, which must be a JSON array; empty when missing.
-
-    Anything else is refused: ``tuple`` of a string would split it into
-    characters.
-    """
-    value = record.get(key, [])
-    if not isinstance(value, list):
-        raise JobConfigError(f"{key!r} must be a JSON array, not {value!r}")
-    return value
-
-
-def _dimension_from_record(record: dict) -> Dimension:
-    if not isinstance(record, dict) or "name" not in record or "type" not in record:
-        raise JobConfigError(f"malformed space record: {record!r}")
-    kind = record["type"]
-    if kind == "categorical":
-        return Dimension(str(record["name"]), "categorical",
-                         categories=tuple(_array(record, "values")))
-    if kind not in ("continuous", "integer"):
-        raise JobConfigError(f"unknown dimension type {kind!r}")
-    if "min" not in record or "max" not in record:
-        raise JobConfigError(f"dimension {record['name']!r} needs min and max")
-    return Dimension(str(record["name"]), kind,
-                     lower=float(record["min"]), upper=float(record["max"]),
-                     scaling=record.get("scaling", "linear"))
-
-
-def _executor_to_record(spec: ExecutorSpec) -> dict:
-    if spec.kind == "builtin":
-        record = {"kind": "builtin", "benchmark": spec.benchmark}
-        if spec.noise_std:
-            record["noise_std"] = spec.noise_std
-        if spec.iterations != 1:
-            record["iterations"] = spec.iterations
-        if spec.delay:
-            record["delay"] = spec.delay
-        if spec.delay_spread:
-            record["delay_spread"] = spec.delay_spread
-        return record
-    record = {"kind": "external", "command": list(spec.command),
-              "timeout": spec.timeout}
-    if spec.workdir:
-        record["workdir"] = spec.workdir
-    return record
-
-
-def _executor_from_record(record: dict) -> ExecutorSpec:
-    if not isinstance(record, dict) or "kind" not in record:
-        raise JobConfigError("executor block needs a 'kind'")
-    kind = record["kind"]
+def _executor_from_record(record) -> ExecutorSpec:
     try:
-        if kind == "builtin":
-            return validate_executor_spec(ExecutorSpec(
-                kind="builtin",
-                benchmark=record.get("benchmark"),
-                noise_std=float(record.get("noise_std", 0.0)),
-                iterations=int(record.get("iterations", 1)),
-                delay=float(record.get("delay", 0.0)),
-                delay_spread=float(record.get("delay_spread", 0.0)),
-            ))
-        if kind == "external":
-            return validate_executor_spec(ExecutorSpec(
-                kind="external",
-                command=tuple(str(a) for a in _array(record, "command")),
-                workdir=record.get("workdir"),
-                timeout=float(record.get("timeout", 3600.0)),
-            ))
-    except (ExecutorSpecError, ValueError, KeyError, TypeError) as exc:
+        return validate_executor_spec(ExecutorSpec(**read_record(
+            record, EXECUTOR_FIELDS, field_defaults(ExecutorSpec),
+            ExecutorSpecError)))
+    except (ExecutorSpecError, UnknownBenchmarkError) as exc:
         raise JobConfigError(f"invalid executor block: {exc}") from exc
-    raise JobConfigError(f"unknown executor kind {kind!r}")
+
+
+def _space_from_records(records) -> SearchSpace:
+    if type(records) is not list:
+        raise JobConfigError(f"'space' must be a JSON array, not {records!r}")
+    return SearchSpace(
+        Dimension(**read_record(record, DIMENSION_FIELDS,
+                                field_defaults(Dimension), JobConfigError,
+                                f"space[{i}]: "))
+        for i, record in enumerate(records))
 
 
 def job_config_to_dict(config: TuningJobConfig, executor: ExecutorSpec) -> dict:
     return {
-        "job_id": config.job_id,
-        "strategy": config.strategy,
-        "objective": {"name": config.objective.name,
-                      "goal": config.objective.goal},
-        "space": [_dimension_to_record(d) for d in config.space],
-        "max_trials": config.max_trials,
-        "max_parallel": config.max_parallel,
-        "early_stopping": config.early_stopping,
-        "warm_start_parents": list(config.warm_start_parents),
-        "seed": config.seed,
-        "retry_limit": config.retry_limit,
-        "executor": _executor_to_record(executor),
+        **write_record(config, _JOB_FIELDS),
+        "objective": write_record(config.objective, _OBJECTIVE_FIELDS),
+        "space": [write_record(d, DIMENSION_FIELDS[d.kind])
+                  for d in config.space],
+        "executor": write_record(executor, EXECUTOR_FIELDS[executor.kind]),
     }
+
+
+# Each record's keys, with their kinds and bounds; README's "Config schema"
+# lists them.  Defaults are the dataclasses' own.
+_JOB_ID = ("matching [a-z0-9-]{1,64}", JOB_ID_RE.fullmatch)
+_JOB_FIELDS = (
+    Field("job_id", "string", _JOB_ID),
+    Field("strategy", "enum", one_of("bayesian", "random")),
+    Field("max_trials", "integer", AT_LEAST_1),
+    Field("max_parallel", "integer", AT_LEAST_1),
+    Field("early_stopping", "enum", one_of("off", "median")),
+    Field("warm_start_parents", "strings",
+          (_JOB_ID[0], lambda parents: all(map(JOB_ID_RE.fullmatch, parents)))),
+    Field("seed", "integer", AT_LEAST_0),
+    Field("retry_limit", "integer", AT_LEAST_0),
+)
+_OBJECTIVE_FIELDS = (
+    Field("name", "string", NOT_EMPTY),
+    Field("goal", "enum", one_of("minimize", "maximize")),
+)
+_JOB_FILE_FIELDS = _JOB_FIELDS + (
+    Field("objective", lambda record: ObjectiveSpec(**read_record(
+        record, _OBJECTIVE_FIELDS, field_defaults(ObjectiveSpec),
+        JobConfigError, "objective: "))),
+    Field("space", _space_from_records),
+    Field("executor", _executor_from_record),
+    # Older stores: inference was a setting, the slice-sampling schedule
+    # too, and job.json held the job's status.
+    Field("inference", "enum", (
+        "'mcmc' (the inference setting was removed: hyperparameters are "
+        "always slice-sampled, so drop the key)", ("mcmc",).__contains__)),
+    Field("mcmc", "enum", (
+        f"{_LEGACY_MCMC!r} (mcmc settings were removed: the slice-sampling "
+        "schedule is fixed, so drop the key)", (_LEGACY_MCMC,).__contains__)),
+    Field("status", "string"),
+)
+_JOB_FILE_DEFAULTS = {**field_defaults(TuningJobConfig), "executor": None,
+                      "inference": "mcmc", "mcmc": _LEGACY_MCMC,
+                      "status": "created"}
 
 
 def job_config_from_dict(data: dict) -> tuple[TuningJobConfig,
@@ -310,51 +263,11 @@ def job_config_from_dict(data: dict) -> tuple[TuningJobConfig,
     status element is job.json's raw ``status`` (default ``created``); only
     ``stopping`` has meaning, as a stop request (older stores hold others).
     """
-    if not isinstance(data, dict):
-        raise JobConfigError("job config must be a JSON object")
-    for key in ("job_id", "objective", "space", "max_trials"):
-        if key not in data:
-            raise JobConfigError(f"job config is missing {key!r}")
-    objective = data["objective"]
-    if not isinstance(objective, dict) or "name" not in objective:
-        raise JobConfigError("objective must be an object with a 'name'")
-    space_records = data["space"]
-    if not isinstance(space_records, list):
-        raise JobConfigError("space must be a list of dimension records")
-    # Stores written before slice sampling became the only inference
-    # carry "inference": "mcmc"; any other mode is refused, not ignored.
-    inference = data.get("inference", "mcmc")
-    if inference != "mcmc":
-        raise JobConfigError(
-            f"inference mode {inference!r} was removed: hyperparameters are "
-            "always slice-sampled; drop the key or set it to 'mcmc'")
-    # Older stores also carry the fixed slice-sampling schedule.
-    if data.get("mcmc", _LEGACY_MCMC) != _LEGACY_MCMC:
-        raise JobConfigError(
-            f"mcmc settings {data['mcmc']!r} were removed: the slice-"
-            "sampling schedule is fixed; drop the key")
-    try:
-        config = TuningJobConfig(
-            job_id=str(data["job_id"]),
-            space=SearchSpace([_dimension_from_record(r) for r in space_records]),
-            objective=ObjectiveSpec(name=str(objective["name"]),
-                                    goal=objective.get("goal", "minimize")),
-            strategy=data.get("strategy", "bayesian"),
-            max_trials=int(data["max_trials"]),
-            max_parallel=int(data.get("max_parallel", 1)),
-            early_stopping=data.get("early_stopping", "off"),
-            warm_start_parents=tuple(
-                str(p) for p in _array(data, "warm_start_parents")),
-            seed=int(data.get("seed", 0)),
-            retry_limit=int(data.get("retry_limit", 2)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise JobConfigError(f"malformed job config: {exc}") from exc
-    validate_job_config(config)
-    executor = (_executor_from_record(data["executor"])
-                if "executor" in data else None)
-    status = str(data.get("status", "created"))
-    return config, executor, status
+    values = read_record(data, _JOB_FILE_FIELDS, _JOB_FILE_DEFAULTS,
+                         JobConfigError)
+    executor, status = values.pop("executor"), values.pop("status")
+    del values["inference"], values["mcmc"]
+    return validate_job_config(TuningJobConfig(**values)), executor, status
 
 
 def trial_record_to_dict(record: TrialRecord) -> dict:

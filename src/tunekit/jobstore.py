@@ -546,6 +546,9 @@ def apply_event(config: TuningJobConfig, state: TuningJobState,
         raise CorruptStoreError(f"event without trial_id: {event!r}")
     if etype == "trial_launched":
         seen = state.trials.get(trial_id)
+        attempt = event.get("attempt", 1 if seen is None else seen.attempts + 1)
+        if type(attempt) is not int:
+            raise ValueError(f"attempt {attempt!r} is not an integer")
         cfg = Configuration(dict(event["config"]))
         encoded = (np.array(event["encoded"], dtype=float)
                    if "encoded" in event else encode(cfg, config.space))
@@ -555,13 +558,13 @@ def apply_event(config: TuningJobConfig, state: TuningJobState,
             state.trials[trial_id] = TrialRecord(
                 trial_id=trial_id, config=cfg, encoded=encoded,
                 status="running", curve=MetricCurve(trial_id),
-                attempts=int(event.get("attempt", 1)),
+                attempts=attempt,
                 started=float(event.get("ts", 0.0)),
             )
         else:
             # Relaunch of the same trial (retry): fresh curve, same config.
             seen.status = "running"
-            seen.attempts = int(event.get("attempt", seen.attempts + 1))
+            seen.attempts = attempt
             seen.curve = MetricCurve(trial_id)
             seen.final_value = None
             seen.started = float(event.get("ts", seen.started or 0.0))
@@ -572,7 +575,7 @@ def apply_event(config: TuningJobConfig, state: TuningJobState,
         raise CorruptStoreError(
             f"event for unknown trial {trial_id!r}: {event!r}")
     if etype == "metric_reported":
-        trial.curve.append(int(event["iteration"]), float(event["value"]))
+        trial.curve.append(event["iteration"], float(event["value"]))
     elif etype == "trial_completed":
         trial.status = "completed"
         trial.final_value = float(event["final_value"])

@@ -32,14 +32,15 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Literal, Protocol
 
 import numpy as np
 
 from .benchmarks import get_benchmark
-from .space import Configuration, encode
+from .space import (AT_LEAST_0, AT_LEAST_1, NOT_EMPTY, Configuration, Field,
+                    check_field, check_fields, encode, one_of)
 
 logger = logging.getLogger(__name__)
 
@@ -95,28 +96,36 @@ class ExecutorSpec:
     delay: float = 0.0
     delay_spread: float = 0.0
     command: tuple[str, ...] = ()
-    workdir: str | None = None
+    workdir: str = ""
     timeout: float = 3600.0
 
 
+_KIND = Field("kind", "enum", one_of("builtin", "external"))
+# The executor block's keys by kind; README's "Config schema" lists them.
+EXECUTOR_FIELDS = {
+    "builtin": (
+        _KIND,
+        Field("benchmark", "string", NOT_EMPTY),
+        Field("noise_std", "number", AT_LEAST_0),
+        Field("iterations", "integer", AT_LEAST_1),
+        Field("delay", "number", AT_LEAST_0),
+        Field("delay_spread", "number", AT_LEAST_0),
+    ),
+    "external": (
+        _KIND,
+        Field("command", "strings", NOT_EMPTY),
+        Field("workdir", "string"),
+        Field("timeout", "number", ("> 0", lambda v: v > 0)),
+    ),
+}
+
+
 def validate_executor_spec(spec: ExecutorSpec) -> ExecutorSpec:
+    """Check ``spec`` by its kind's rows, then look its benchmark up."""
+    rows = EXECUTOR_FIELDS[check_field(_KIND, spec.kind, ExecutorSpecError)]
+    check_fields(spec, rows, ExecutorSpecError)
     if spec.kind == "builtin":
-        if not spec.benchmark:
-            raise ExecutorSpecError("builtin executor needs a benchmark name")
         get_benchmark(spec.benchmark)
-        if spec.noise_std < 0:
-            raise ExecutorSpecError("noise_std must be >= 0")
-        if spec.iterations < 1:
-            raise ExecutorSpecError("iterations must be >= 1")
-        if spec.delay < 0 or spec.delay_spread < 0:
-            raise ExecutorSpecError("delays must be >= 0")
-    elif spec.kind == "external":
-        if not spec.command:
-            raise ExecutorSpecError("external executor needs a command")
-        if spec.timeout <= 0:
-            raise ExecutorSpecError("timeout must be > 0")
-    else:
-        raise ExecutorSpecError(f"unknown executor kind {spec.kind!r}")
     return spec
 
 

@@ -5,14 +5,18 @@ code operates on an encoded representation where every numeric dimension
 occupies one coordinate in ``[0, 1]`` (after an optional log10 transform)
 and every categorical dimension occupies a one-hot block.  Encoding and
 decoding are exact inverses up to integer rounding and one-hot snapping.
+
+The field tables of a job config's records live here, below every module
+with a record type: see :class:`Field`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
-from typing import Literal
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -163,85 +167,153 @@ class Configuration(Mapping):
         return f"Configuration({inner})"
 
 
-def validate_space(space: SearchSpace) -> SearchSpace:
-    """Check structural invariants of a space, returning it unchanged.
+class Field(NamedTuple):
+    """One JSON key of a record type: its kind (a name in ``KINDS``, or a
+    reader that parses and checks a nested record) and a ``(text, test)``
+    bound.  ``attr`` is the dataclass attribute where it is not ``key``.
+    The same rows read and write the record and check a dataclass built
+    through the Python API, so both obey one rule."""
 
-    Raises
-    ------
-    DuplicateNameError
-        If two dimensions share a name.
-    InvalidBoundsError
-        If a numeric dimension has ``lower >= upper`` or missing bounds,
-        or a categorical dimension carries bounds, a non-default scaling or
-        a category that is not a string.
-    LogScaleNonPositiveError
-        If a log-scaled dimension has ``lower <= 0``.
-    TooFewCategoriesError
-        If a categorical dimension has fewer than two categories.
+    key: str
+    kind: str | Callable
+    bound: tuple = ("", lambda v: True)
+    attr: str = ""
+
+
+_LARGEST = sys.float_info.max
+# Each kind's text, test and stored form.  A bool is no integer; the
+# comparison refuses NaN, the infinities and ints too large for a float.
+KINDS = {
+    "integer": ("an integer", lambda v: type(v) is int, int),
+    "number": ("a finite number", lambda v: type(v) in (int, float)
+               and -_LARGEST <= v <= _LARGEST, float),
+    "string": ("a string", lambda v: type(v) is str, str),
+    "strings": ("a JSON array of strings", lambda v: type(v) in (list, tuple)
+                and all(type(s) is str for s in v), tuple),
+    "enum": ("one of", lambda v: True, lambda v: v),
+}
+AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+NOT_EMPTY = ("that is not empty", len)
+
+
+def one_of(*choices) -> tuple:
+    return ", ".join(map(repr, choices)), choices.__contains__
+
+
+def check_field(row: Field, value, error: type[Exception], where=""):
+    """``value`` in its stored form; raises ``error`` naming ``row``'s key
+    unless the value is of the row's kind and within its bound."""
+    if callable(row.kind):
+        return row.kind(value)
+    text, test, store = KINDS[row.kind]
+    if not (test(value) and row.bound[1](value)):
+        text = f"{text} {row.bound[0]}".rstrip()
+        raise error(f"{where}{row.key!r} must be {text}, not {value!r}")
+    return store(value)
+
+
+def check_fields(obj, rows: tuple[Field, ...], error: type[Exception],
+                 where="") -> None:
+    """Check ``obj``'s attribute of each row."""
+    for row in rows:
+        check_field(row, getattr(obj, row.attr or row.key), error, where)
+
+
+def field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+def read_record(record, rows, defaults: dict, error: type[Exception],
+                where="") -> dict:
+    """Each row's value in the JSON object ``record``, checked and stored,
+    by attribute.  ``rows`` is a table, or tables by the value of their
+    first row.  A key that no row names is refused, and a missing one takes
+    its ``defaults`` entry if it has one."""
+    if type(record) is not dict:
+        raise error(f"{where}must be a JSON object, not {record!r}")
+    if isinstance(rows, dict):
+        first = next(iter(rows.values()))[0]
+        rows = rows[check_field(first, record.get(first.key), error, where)]
+    unknown = record.keys() - {row.key for row in rows}
+    if unknown:
+        raise error(f"{where}{min(unknown, key=str)!r} is not a known key")
+    values = {}
+    for row in rows:
+        attr = row.attr or row.key
+        if row.key in record:
+            values[attr] = check_field(row, record[row.key], error, where)
+        elif attr in defaults:
+            values[attr] = defaults[attr]
+        else:
+            raise error(f"{where}{row.key!r} is missing")
+    return values
+
+
+def write_record(obj, rows: tuple[Field, ...]) -> dict:
+    """The JSON object of ``obj``'s attribute for each row."""
+    record = {row.key: getattr(obj, row.attr or row.key) for row in rows}
+    return {k: list(v) if type(v) is tuple else v for k, v in record.items()}
+
+
+_TYPE = Field("type", "enum", one_of("continuous", "integer", "categorical"),
+              "kind")
+_NAME = Field("name", "string", NOT_EMPTY)
+_NUMERIC = (_TYPE, _NAME, Field("min", "number", attr="lower"),
+            Field("max", "number", attr="upper"),
+            Field("scaling", "enum", one_of("linear", "log")))
+# A dimension record's keys by type; README's "Config schema" lists them.
+DIMENSION_FIELDS = {
+    "continuous": _NUMERIC,
+    "integer": _NUMERIC,
+    "categorical": (_TYPE, _NAME,
+                    Field("values", "strings", attr="categories")),
+}
+
+
+def validate_space(space: SearchSpace) -> SearchSpace:
+    """Check each dimension by its type's rows in ``DIMENSION_FIELDS``, then
+    by the rules across its fields; returns the space unchanged.
+
+    Raises ``InvalidBoundsError`` for an empty space, a field that breaks
+    its row, a numeric dimension with categories, ``lower >= upper`` or
+    fractional integer bounds, and a categorical one with bounds;
+    ``DuplicateNameError`` for a repeated name or category;
+    ``LogScaleNonPositiveError`` for log scaling with ``lower <= 0``; and
+    ``TooFewCategoriesError`` for fewer than two categories.
     """
     if len(space.dimensions) == 0:
         raise InvalidBoundsError("a search space needs at least one dimension")
     seen: set[str] = set()
     for dim in space:
-        if not dim.name:
-            raise InvalidBoundsError("dimension names must be non-empty")
+        where = f"dimension {dim.name!r}: "
+        rows = DIMENSION_FIELDS[
+            check_field(_TYPE, dim.kind, InvalidBoundsError, where)]
+        check_fields(dim, rows, InvalidBoundsError, where)
         if dim.name in seen:
             raise DuplicateNameError(f"duplicate dimension name {dim.name!r}")
         seen.add(dim.name)
         if dim.kind == "categorical":
             if dim.lower is not None or dim.upper is not None:
-                raise InvalidBoundsError(
-                    f"categorical dimension {dim.name!r} must not define bounds"
-                )
-            if dim.categories is None or len(dim.categories) < 2:
+                raise InvalidBoundsError(f"{where}a categorical dimension "
+                                         "must not define bounds")
+            if len(dim.categories) < 2:
                 raise TooFewCategoriesError(
-                    f"categorical dimension {dim.name!r} needs at least two categories"
-                )
-            if not all(isinstance(c, str) for c in dim.categories):
-                raise InvalidBoundsError(
-                    f"categories of dimension {dim.name!r} must be strings"
-                )
-            if len(set(dim.categories)) != len(dim.categories):
-                raise DuplicateNameError(
-                    f"categorical dimension {dim.name!r} has repeated categories"
-                )
-        elif dim.kind in ("continuous", "integer"):
-            if dim.categories is not None:
-                raise InvalidBoundsError(
-                    f"numeric dimension {dim.name!r} must not define categories"
-                )
-            if dim.lower is None or dim.upper is None:
-                raise InvalidBoundsError(
-                    f"numeric dimension {dim.name!r} needs lower and upper bounds"
-                )
-            if not (math.isfinite(dim.lower) and math.isfinite(dim.upper)):
-                raise InvalidBoundsError(
-                    f"bounds of dimension {dim.name!r} must be finite"
-                )
-            if dim.lower >= dim.upper:
-                raise InvalidBoundsError(
-                    f"dimension {dim.name!r} requires lower < upper, "
-                    f"got [{dim.lower}, {dim.upper}]"
-                )
-            if dim.kind == "integer" and (
-                dim.lower != int(dim.lower) or dim.upper != int(dim.upper)
-            ):
-                raise InvalidBoundsError(
-                    f"integer dimension {dim.name!r} requires integral bounds"
-                )
-            if dim.scaling == "log" and dim.lower <= 0.0:
-                raise LogScaleNonPositiveError(
-                    f"log-scaled dimension {dim.name!r} requires lower > 0, "
-                    f"got {dim.lower}"
-                )
-            if dim.scaling not in ("linear", "log"):
-                raise InvalidBoundsError(
-                    f"dimension {dim.name!r} has unknown scaling {dim.scaling!r}"
-                )
-        else:
+                    f"{where}a categorical dimension needs two categories")
+            if len(set(dim.categories)) < len(dim.categories):
+                raise DuplicateNameError(f"{where}repeated categories")
+        elif dim.categories is not None:
             raise InvalidBoundsError(
-                f"dimension {dim.name!r} has unknown kind {dim.kind!r}"
-            )
+                f"{where}a numeric dimension must not define categories")
+        elif dim.lower >= dim.upper:
+            raise InvalidBoundsError(f"{where}requires lower < upper, got "
+                                     f"[{dim.lower}, {dim.upper}]")
+        elif dim.kind == "integer" and (dim.lower != int(dim.lower)
+                                        or dim.upper != int(dim.upper)):
+            raise InvalidBoundsError(f"{where}requires integral bounds")
+        elif dim.scaling == "log" and dim.lower <= 0.0:
+            raise LogScaleNonPositiveError(
+                f"{where}log scaling requires lower > 0, got {dim.lower}")
     return space
 
 

@@ -56,14 +56,14 @@ class MetricCurve:
     points: list[tuple[int, float]] = field(default_factory=list)
 
     def append(self, iteration: int, value: float) -> None:
-        """Add a reading; iterations must arrive strictly increasing."""
-        if iteration < 1:
-            raise ValueError(f"iterations start at 1, got {iteration}")
+        """Add a reading; iterations are ints from 1, strictly increasing."""
+        if type(iteration) is not int or iteration < 1:
+            raise ValueError(f"iterations are ints from 1, got {iteration!r}")
         if self.points and iteration <= self.points[-1][0]:
             raise ValueError(
                 f"iteration {iteration} does not advance past {self.points[-1][0]}"
             )
-        self.points.append((int(iteration), float(value)))
+        self.points.append((iteration, float(value)))
 
     def value_at(self, iteration: int) -> float | None:
         """Exact value at ``iteration``, or None if not reported."""

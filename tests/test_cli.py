@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -167,6 +168,16 @@ class TestRun:
         store_root = tmp_path / "store"
         assert main(["run", str(path), "--store", str(store_root)]) == 2
         assert str(path) in capsys.readouterr().err
+        assert not (store_root / "cli-job").exists()
+
+    def test_infinite_max_trials_is_config_error(self, tmp_path, capsys):
+        # Python's json reads Infinity; int() of it raised OverflowError.
+        path = write_config(
+            tmp_path, mutate=lambda p: p.__setitem__("max_trials", math.inf))
+        assert "Infinity" in path.read_text(encoding="utf-8")
+        store_root = tmp_path / "store"
+        assert main(["run", str(path), "--store", str(store_root)]) == 2
+        assert "'max_trials' must be an integer" in capsys.readouterr().err
         assert not (store_root / "cli-job").exists()
 
     @pytest.mark.parametrize("key, mutate", [

@@ -1,8 +1,16 @@
 """Job configuration, trial records, state aggregation, and the JSON schema."""
 from __future__ import annotations
 
+import json
+import math
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunekit.jobs import (
     JobConfigError,
@@ -16,7 +24,7 @@ from tunekit.jobs import (
     trial_record_to_dict,
     validate_job_config,
 )
-from tunekit.runner import ExecutorSpec
+from tunekit.runner import EXECUTOR_FIELDS, ExecutorSpec
 from tunekit.space import Configuration, SearchSpace, categorical, continuous, integer
 from tunekit.stopping import MetricCurve
 
@@ -28,6 +36,33 @@ SPACE = SearchSpace([
 
 EXECUTOR = ExecutorSpec(kind="builtin", benchmark="branin", noise_std=0.5,
                         iterations=3)
+
+
+EXTERNAL = ExecutorSpec(kind="external", command=("python", "train.py"),
+                        workdir="trials", timeout=60.0)
+
+# Every key of every job.json record, as (path to the record, key).
+FIELD_TARGETS = (
+    [((), key) for key in (
+        "job_id", "strategy", "objective", "space", "max_trials",
+        "max_parallel", "early_stopping", "warm_start_parents", "seed",
+        "retry_limit", "executor", "inference", "mcmc", "status")]
+    + [(("objective",), key) for key in ("name", "goal")]
+    + [(("space", i), key) for i in (0, 1)
+       for key in ("name", "type", "min", "max", "scaling")]
+    + [(("space", 2), key) for key in ("name", "type", "values")]
+    + [(("executor",), key) for key in (
+        "kind", "benchmark", "noise_std", "iterations", "delay",
+        "delay_spread", "command", "workdir", "timeout")]
+)
+DELETE = object()
+# One value of each JSON kind, a few of each at a bound, and a missing key.
+JSON_KINDS = [
+    None, True, False, 0, 1, 3, -1, 10**30, 2.7, 0.5, math.nan, math.inf,
+    -math.inf, "", "x", "mcmc", "random", "median", "log", "categorical",
+    "external", "branin", [], ["a", "b"], ["a", "a"], [1, None], {},
+    {"chain_length": 300, "burn_in": 250, "thinning": 5}, DELETE,
+]
 
 
 def make_config(**overrides) -> TuningJobConfig:
@@ -93,6 +128,14 @@ class TestValidation:
     def test_bad_parent_id(self):
         with pytest.raises(JobConfigError):
             validate_job_config(make_config(warm_start_parents=("BAD_ID",)))
+
+    @pytest.mark.parametrize("parents", [("prev", "prev"), ("prev", "job-1")],
+                             ids=["repeated", "self"])
+    def test_parent_listed_twice_is_refused(self, parents):
+        # A parent listed twice, or the job itself on resume, would feed
+        # each of its observations to the surrogate twice.
+        with pytest.raises(JobConfigError, match="warm_start_parents"):
+            validate_job_config(make_config(warm_start_parents=parents))
 
 
 def test_minimize_form():
@@ -237,9 +280,9 @@ class TestJsonSchema:
             "job_id": "j",
             "objective": {"name": "loss"},
             "space": [{"name": "x", "type": "continuous", "min": 0.0, "max": 1.0}],
-            "max_trials": 5,
         }
         config, executor, status = job_config_from_dict(minimal)
+        assert config.max_trials == 10
         assert config.strategy == "bayesian"
         assert config.max_parallel == 1
         assert config.seed == 0 and config.retry_limit == 2
@@ -251,7 +294,7 @@ class TestJsonSchema:
         lambda p: p.pop("job_id"),
         lambda p: p.pop("objective"),
         lambda p: p.pop("space"),
-        lambda p: p.pop("max_trials"),
+        lambda p: p.__setitem__("max_trails", 5),
         lambda p: p.__setitem__("space", "not-a-list"),
         lambda p: p.__setitem__("objective", {"goal": "minimize"}),
         lambda p: p["space"].append({"name": "dup"}),
@@ -266,6 +309,58 @@ class TestJsonSchema:
         mutation(payload)
         with pytest.raises(JobConfigError):
             job_config_from_dict(payload)
+
+    @pytest.mark.parametrize("executor", ["builtin", "external"])
+    @pytest.mark.parametrize("path, key", FIELD_TARGETS,
+                             ids=[f"{'.'.join(map(str, p))}.{k}".lstrip(".")
+                                  for p, k in FIELD_TARGETS])
+    @settings(max_examples=5, deadline=None)
+    @given(drawn=st.one_of(st.integers(), st.floats(), st.text(max_size=6)))
+    def test_every_field_takes_every_json_kind(self, executor, path, key,
+                                               drawn):
+        # Parsing only: a drawn max_parallel of 10**30 must never size a
+        # thread pool.
+        spec = EXECUTOR if executor == "builtin" else EXTERNAL
+        for value in JSON_KINDS + [drawn]:
+            payload = job_config_to_dict(make_config(), spec)
+            record = payload
+            for step in path:
+                record = record[step]
+            if value is DELETE:
+                record.pop(key, None)
+            else:
+                record[key] = value
+            try:
+                config, back, _ = job_config_from_dict(payload)
+            except JobConfigError:
+                continue
+            text = json.dumps(job_config_to_dict(config, back or spec),
+                              allow_nan=False)
+            again, back_again, _ = job_config_from_dict(json.loads(text))
+            assert again == config
+            assert back is None or back_again == back
+
+    def test_readme_defaults_match_the_dataclasses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        schema = readme[readme.index("## Config schema"):]
+        block = json.loads(re.search(r"```json\n(.*?)```", schema,
+                                     re.S).group(1))
+        objective = block.pop("objective")
+        assert objective == {"goal": ObjectiveSpec("m").goal}
+        defaults = {f.name: f.default for f in fields(TuningJobConfig)
+                    if f.name not in ("job_id", "space", "objective")}
+        assert block == {k: list(v) if isinstance(v, tuple) else v
+                         for k, v in defaults.items()}
+        # The executor table: kind, field, field kind, bound, default.
+        rows = re.findall(r"^\| (builtin|external) \| `(\w+)` \|.*\| (.+) \|$",
+                          schema, re.M)
+        for kind, table in EXECUTOR_FIELDS.items():
+            assert [key for k, key, _ in rows if k == kind] == [
+                row.key for row in table if row.key != "kind"]
+        spec = ExecutorSpec("builtin")
+        for _, key, default in rows:
+            if default != "required":
+                assert json.loads(default.strip("`")) == getattr(spec, key)
 
     def test_log_scaling_survives(self):
         payload = job_config_to_dict(make_config(), EXECUTOR)

@@ -522,6 +522,10 @@ class TestReplay:
         launched("trial-0002", attempt=math.inf),
         launched("trial-0001", attempt=-math.inf),
         metric("trial-0001", math.inf, 1.0),
+        # int() would truncate a float and read a bool as 1
+        launched("trial-0002", attempt=2.5),
+        launched("trial-0001", attempt=True),
+        metric("trial-0001", 2.5, 1.0),
     ])
     def test_malformed_event_names_its_index(self, bad):
         with pytest.raises(CorruptStoreError, match="journal event 2 "):
