@@ -5,7 +5,7 @@ the posterior over the log parameterisation using univariate slice
 sampling along random directions; predictions then average over the
 ensemble.  A chain starts from the default hyperparameters or from a
 given log vector, so a caller can continue an earlier chain on new data
-with a short burn-in instead of starting over.
+with a short chain instead of starting over.
 """
 
 from __future__ import annotations

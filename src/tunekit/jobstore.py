@@ -58,7 +58,7 @@ from .jobs import (
     job_config_to_dict,
     trial_record_to_dict,
 )
-from .runner import ExecutorSpec
+from .runner import METRIC_NAME, ExecutorSpec
 from .space import Configuration, encode
 from .stopping import MetricCurve
 from .surrogate import GpHyperParams
@@ -87,6 +87,8 @@ EVENT_TYPES = frozenset({
 # Compact lines; one encoder, since json.dumps with non-default
 # separators builds a new one per call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+# The Python types of a JSON number; bool, a subclass of int, is not one.
+_JSON_NUMBER = (float, int)
 
 
 class StoreError(RuntimeError):
@@ -187,9 +189,18 @@ class JobStore:
         return self._job_json(job_id).is_file()
 
     def create_job(self, config: TuningJobConfig, executor: ExecutorSpec) -> str:
-        """Validate, then write the job directory; nothing touches disk on error."""
+        """Validate, then write the job directory; nothing touches disk on error.
+
+        An external job's objective must be a name its child can report;
+        a stored job is not checked again on load.
+        """
         payload = job_config_to_dict(config, executor)
         job_config_from_dict(payload)  # round-trip sanity before any write
+        name = config.objective.name
+        if executor.kind == "external" and not METRIC_NAME.fullmatch(name):
+            raise JobConfigError(
+                f"objective.name {name!r} can never be reported by an "
+                f"external command: metric names match {METRIC_NAME.pattern}")
         if self._job_json(config.job_id).exists():
             raise AlreadyExistsError(f"job {config.job_id!r} already exists")
         try:
@@ -516,12 +527,12 @@ def _last_status(job_id: str, raw: bytes) -> str:
             raise CorruptStoreError(
                 f"corrupt journal line {number} for job {job_id!r}") from exc
         if type(event) is dict and event.get("type") == "job_status_changed":
-            if "status" not in event:
+            status = event.get("status")
+            if type(status) is not str:
                 number = raw.count(b"\n", 0, start) + 1
                 raise CorruptStoreError(
                     f"journal line {number} for job {job_id!r} is a status "
-                    f"change without a status")
-            status = str(event["status"])
+                    f"change without a string status")
     return status
 
 
@@ -536,10 +547,22 @@ def _chain_log_theta(config: TuningJobConfig, proposal: dict) -> np.ndarray:
 
 def apply_event(config: TuningJobConfig, state: TuningJobState,
                 event: dict) -> None:
-    """Apply one journal entry to ``state``; raises on malformed entries."""
+    """Apply one journal entry to ``state``; raises on malformed entries.
+
+    Each field must hold its JSON type, never coerced: ``status`` and
+    ``reason`` strings; ``ts``, ``value`` and ``final_value`` numbers, not
+    bools (a final value may be non-finite: such finals are journaled on
+    purpose); ``terminal`` a bool; ``attempt`` and ``iteration`` integers.
+    """
     etype = event.get("type")
+    ts = event.get("ts", 0.0)
+    if type(ts) not in _JSON_NUMBER:
+        raise TypeError(f"ts {ts!r} is not a number")
     if etype == "job_status_changed":
-        state.status = str(event["status"])
+        status = event["status"]
+        if type(status) is not str:
+            raise TypeError(f"status {status!r} is not a string")
+        state.status = status
         return
     trial_id = event.get("trial_id")
     if not trial_id:
@@ -558,8 +581,7 @@ def apply_event(config: TuningJobConfig, state: TuningJobState,
             state.trials[trial_id] = TrialRecord(
                 trial_id=trial_id, config=cfg, encoded=encoded,
                 status="running", curve=MetricCurve(trial_id),
-                attempts=attempt,
-                started=float(event.get("ts", 0.0)),
+                attempts=attempt, started=float(ts),
             )
         else:
             # Relaunch of the same trial (retry): fresh curve, same config.
@@ -567,7 +589,8 @@ def apply_event(config: TuningJobConfig, state: TuningJobState,
             seen.attempts = attempt
             seen.curve = MetricCurve(trial_id)
             seen.final_value = None
-            seen.started = float(event.get("ts", seen.started or 0.0))
+            seen.started = (float(ts) if "ts" in event
+                            else seen.started or 0.0)
             seen.finished = None
         return
     trial = state.trials.get(trial_id)
@@ -575,20 +598,29 @@ def apply_event(config: TuningJobConfig, state: TuningJobState,
         raise CorruptStoreError(
             f"event for unknown trial {trial_id!r}: {event!r}")
     if etype == "metric_reported":
-        trial.curve.append(event["iteration"], float(event["value"]))
-    elif etype == "trial_completed":
-        trial.status = "completed"
-        trial.final_value = float(event["final_value"])
-        trial.finished = float(event.get("ts", 0.0))
-    elif etype == "trial_stopped":
-        trial.status = "early_stopped"
-        trial.final_value = float(event["final_value"])
-        trial.finished = float(event.get("ts", 0.0))
+        value = event["value"]
+        if type(value) not in _JSON_NUMBER:
+            raise TypeError(f"value {value!r} is not a number")
+        trial.curve.append(event["iteration"], float(value))
+    elif etype == "trial_completed" or etype == "trial_stopped":
+        final = event["final_value"]
+        if type(final) not in _JSON_NUMBER:
+            raise TypeError(f"final_value {final!r} is not a number")
+        trial.status = ("completed" if etype == "trial_completed"
+                        else "early_stopped")
+        trial.final_value = float(final)
+        trial.finished = float(ts)
     elif etype == "trial_failed":
-        trial.failure_reason = str(event.get("reason", "unknown"))
-        if bool(event.get("terminal", True)):
+        reason = event.get("reason", "unknown")
+        terminal = event.get("terminal", True)
+        if type(reason) is not str:
+            raise TypeError(f"reason {reason!r} is not a string")
+        if type(terminal) is not bool:
+            raise TypeError(f"terminal {terminal!r} is not a bool")
+        trial.failure_reason = reason
+        if terminal:
             trial.status = "failed"
-            trial.finished = float(event.get("ts", 0.0))
+            trial.finished = float(ts)
         else:
             trial.status = "pending"
             trial.final_value = None

@@ -55,6 +55,7 @@ __all__ = [
     "ENV_TRIAL_ID",
     "ENV_HPARAMS_FILE",
     "METRIC_LINE",
+    "METRIC_NAME",
     "make_executor",
     "validate_executor_spec",
 ]
@@ -63,8 +64,11 @@ HPARAMS_FILENAME = "hparams.json"
 ENV_TRIAL_ID = "TUNER_TRIAL_ID"
 ENV_HPARAMS_FILE = "TUNER_HPARAMS_FILE"
 
+# The metric names a child can report; an external job's objective must
+# be one of them.
+METRIC_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 METRIC_LINE = re.compile(
-    r"^tuner-metric\s+name=([A-Za-z_][A-Za-z0-9_.-]*)\s+iteration=(\d+)\s+"
+    rf"^tuner-metric\s+name=({METRIC_NAME.pattern})\s+iteration=(\d+)\s+"
     r"value=([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
     r"|[-+]?(?i:nan|inf(?:inity)?))\s*$"
 )

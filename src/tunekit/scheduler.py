@@ -27,12 +27,12 @@ busy, and a failed sync aborts the job like a failed append.
 
 Model proposals continue one slice-sampling chain over the GP
 hyperparameters.  A job's first model proposal, and any whose state holds
-no chain, runs the full schedule (300 steps, 250 burn-in, thinning 5)
-from the default hyperparameters.  Every later one starts from the log
-vector the previous model launch journaled as ``proposal.log_theta`` and
-runs 66 steps with burn-in 20 and thinning 5, still keeping 10 members.
-The chain state thus lives in the journal, so a resumed job proposes what
-an uninterrupted one would.
+no chain, runs a cold chain from the default hyperparameters: 296 steps,
+250 burn-in, thinning 5.  Every later one starts from the log vector the
+previous model launch journaled as ``proposal.log_theta`` and runs 37
+steps with no burn-in, keeping every 4th.  Both keep 10 members, the last
+of them the chain's final step.  The chain state thus lives in the
+journal, so a resumed job proposes what an uninterrupted one would.
 """
 
 from __future__ import annotations
@@ -86,10 +86,14 @@ _SEED_CANDIDATE = 202
 _SEED_EXECUTOR = 303
 
 # Slice-sampling schedules: a cold chain starts from the default
-# hyperparameters, a warm one continues the journaled chain.  The warm
-# schedule keeps 10 members, and its last is the chain's final step.
-_MCMC_COLD = McmcConfig()
-_MCMC_WARM = McmcConfig(66, 20, 5)
+# hyperparameters, a warm one continues the journaled chain.  Each keeps
+# 10 members, and its last is the chain's final step, the state the
+# launch journals.  The warm chain needs no burn-in: it starts at the
+# previous proposal's last member, already a posterior draw on all but
+# the newest observations; thinning by 4 leaves 4 slice steps between
+# members.
+_MCMC_COLD = McmcConfig(296, 250, 5)
+_MCMC_WARM = McmcConfig(37, 0, 4)
 
 
 class JobAborted(RuntimeError):
@@ -375,7 +379,7 @@ class _Coordinator:
         elif event.kind == "completed":
             self._handle_completed(trial)
         elif event.kind == "failed":
-            self._handle_failed(trial, event.reason or "unknown")
+            self._handle_failed(trial, str(event.reason or "unknown"))
         return trial.status != "running"
 
     # -- main loop ---------------------------------------------------------

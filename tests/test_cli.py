@@ -216,6 +216,35 @@ class TestRun:
         assert "invalid executor block" in capsys.readouterr().err
         assert not (store_root / "cli-job").exists()
 
+    def test_unreportable_external_objective_is_config_error(self, tmp_path,
+                                                              capsys):
+        # No tuner-metric line can name "val loss", so every trial would
+        # fail for want of an objective value.
+        config = make_config(objective=ObjectiveSpec("val loss"))
+        path = write_config(tmp_path, config=config, executor=ExecutorSpec(
+            kind="external", command=(sys.executable, "-c", "pass")))
+        store_root = tmp_path / "store"
+        assert main(["run", str(path), "--store", str(store_root)]) == 2
+        assert "objective.name 'val loss'" in capsys.readouterr().err
+        assert not (store_root / "cli-job").exists()
+        # A builtin job reports its objective under any name.
+        path = write_config(tmp_path, config=config)
+        assert main(["run", str(path), "--store", str(store_root)]) == 0
+
+    def test_stored_unreportable_external_objective_still_describes(
+            self, tmp_path, capsys):
+        store_root = tmp_path / "store"
+        store = JobStore(store_root)
+        store.create_job(make_config(), ExecutorSpec(
+            kind="external", command=(sys.executable, "-c", "pass")))
+        store.close()
+        job_file = store_root / "cli-job" / "job.json"
+        payload = json.loads(job_file.read_text(encoding="utf-8"))
+        payload["objective"]["name"] = "val loss"
+        job_file.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["describe", "cli-job", "--store", str(store_root)]) == 0
+        assert "objective:  val loss (minimize)" in capsys.readouterr().out
+
     def test_rerun_of_stored_job_without_executor_fails(self, tmp_path,
                                                         capsys):
         path = write_config(tmp_path)

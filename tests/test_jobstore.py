@@ -526,10 +526,30 @@ class TestReplay:
         launched("trial-0002", attempt=2.5),
         launched("trial-0001", attempt=True),
         metric("trial-0001", 2.5, 1.0),
+        # str(), float() and bool() would read these as the status "5" or
+        # "None", ts 1.5 or 1.0, a completed observation and a terminal
+        # failure
+        {"type": "job_status_changed", "status": 5, "ts": 2.0},
+        {"type": "job_status_changed", "status": None, "ts": 2.0},
+        completed("trial-0001", 1.0, ts="1.5"),
+        completed("trial-0001", 1.0, ts=True),
+        completed("trial-0001", "2.5"),
+        {"type": "trial_failed", "trial_id": "trial-0001",
+         "reason": "timeout", "terminal": "no", "ts": 2.0},
     ])
     def test_malformed_event_names_its_index(self, bad):
         with pytest.raises(CorruptStoreError, match="journal event 2 "):
             replay_events(make_config(), [launched("trial-0001"), bad])
+
+    def test_json_numbers_and_non_finite_finals_replay(self):
+        state = replay_events(make_config(), [
+            launched("trial-0001", ts=1), metric("trial-0001", 1, 3),
+            completed("trial-0001", 3, ts=2),
+            launched("trial-0002"), completed("trial-0002", math.nan)])
+        first, second = state.trials.values()
+        assert (first.final_value, first.started, first.finished) == (3.0, 1.0, 2.0)
+        assert type(first.final_value) is float
+        assert math.isnan(second.final_value) and not second.has_observation
 
     def test_model_launch_records_chain_state(self):
         log_theta = [0.125 * i for i in range(8)]
@@ -722,6 +742,7 @@ class TestJobStatus:
 
     @pytest.mark.parametrize("bad", [b'{"type":"job_status_changed","sta',
                                      b'{"type":"job_status_changed"}',
+                                     b'{"type":"job_status_changed","status":5}',
                                      b'{"\xfftype":"job_status_changed"}'])
     def test_corrupt_status_line_is_unreadable(self, store, bad):
         completed_job(store)

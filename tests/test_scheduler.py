@@ -659,6 +659,14 @@ class TestNextCandidate:
         assert warm == scheduler._MCMC_WARM and warm_start is log_theta
         assert warm.effective_samples == cold.effective_samples == 10
 
+    @pytest.mark.parametrize("name", ["_MCMC_COLD", "_MCMC_WARM"])
+    def test_schedule_ends_on_its_last_member(self, name):
+        # The journaled chain state is the last member, so a step after
+        # it would be sampled only to be thrown away.
+        mcmc = getattr(scheduler, name)
+        assert mcmc.effective_samples == 10
+        assert (mcmc.chain_length - 1 - mcmc.burn_in) % mcmc.thinning == 0
+
     def test_unusable_chain_state_falls_back_to_cold(self, caplog):
         config = make_config(strategy="bayesian")
         state = self._warm_state(config, 6)
