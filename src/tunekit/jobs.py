@@ -261,7 +261,7 @@ def job_config_from_dict(data: dict) -> tuple[TuningJobConfig,
     The executor element is None when the payload has no executor block;
     callers that need to launch trials must treat that as an error.  The
     status element is job.json's raw ``status`` (default ``created``); only
-    ``stopping`` has meaning, as a stop request (older stores hold others).
+    ``stopping`` has meaning, as a stop request an older version wrote.
     """
     values = read_record(data, _JOB_FILE_FIELDS, _JOB_FILE_DEFAULTS,
                          JobConfigError)

@@ -2,8 +2,9 @@
 
 Layout per job under the store root::
 
-    <root>/<job_id>/job.json            config; a stop request once made
+    <root>/<job_id>/job.json            config, written once at creation
     <root>/<job_id>/events.log          append-only JSON-lines event journal
+    <root>/<job_id>/stop                empty; present once a stop was requested
 
 The event journal is the source of truth, the job status included.
 :func:`apply_event` is the only code that changes job state in response to
@@ -11,12 +12,13 @@ an event: the coordinator applies each event it journals through it, and
 :func:`replay_events` folds a whole journal with it, so live and replayed
 state agree.  That includes the hyperparameter chain: a model-phase
 ``trial_launched`` carries ``"proposal": {"log_theta": [...]}``, where the
-next model proposal's chain starts.  After creation only ``tunekit stop``
-writes job.json, adding ``"status": "stopping"``; it writes a uniquely
-named temp file and renames it, so readers never see a half-written one
-and each write has a new inode.  The coordinator's stop check therefore
-parses job.json only when its (inode, mtime, size) changed.  ``list``
-and ``stop`` parse only the journal's ``job_status_changed`` lines
+next model proposal's chain starts.  job.json is never written after
+:meth:`JobStore.create_job`.  A stop request is the file ``stop``:
+``tunekit stop`` creates it with ``O_EXCL``, so no file in a job directory
+has two writers, and the coordinator's stop check is one ``stat`` of it.
+A store an older version wrote may instead hold ``"status": "stopping"``
+in job.json, which still counts as a stop request.  ``list`` and ``stop``
+parse only the journal's ``job_status_changed`` lines
 (:meth:`JobStore.job_status`).
 
 Durability is group-committed.  :meth:`JobStore.append_event` encodes
@@ -40,6 +42,7 @@ it sits.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import logging
@@ -122,6 +125,14 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
         raise
 
 
+def _fsync_dir(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _end_on_line_boundary(job_id: str, path: Path) -> None:
     """Truncate the journal after its last newline before anything is appended.
 
@@ -152,10 +163,10 @@ def _end_on_line_boundary(job_id: str, path: Path) -> None:
 class JobStore:
     """Single-writer persistence rooted at a directory.
 
-    The coordinator that runs a job is the only writer for that job;
-    list/describe may read concurrently and see the journal as of the
-    writer's last :meth:`sync`.  The writing store's own reads also see
-    the lines it has appended but not yet synced.
+    The coordinator that runs a job is the only writer of its journal, and
+    :meth:`set_status` of its ``stop`` file; list/describe may read
+    concurrently and see the journal as of the writer's last :meth:`sync`.
+    The writing store's own reads also see its lines not yet synced.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -166,11 +177,6 @@ class JobStore:
         self._pending: dict[str, list[str]] = {}
         # Jobs with lines written since their last fsync.
         self._unsynced: set[str] = set()
-        # Per job, for :meth:`read_status`: job.json's path, its
-        # (st_ino, st_mtime_ns, st_size) at the last parse, and the status
-        # that parse read.
-        self._status_keys: dict[str, tuple[Path, tuple[int, int, int],
-                                           str]] = {}
 
     # -- paths -------------------------------------------------------------
 
@@ -191,8 +197,9 @@ class JobStore:
     def create_job(self, config: TuningJobConfig, executor: ExecutorSpec) -> str:
         """Validate, then write the job directory; nothing touches disk on error.
 
-        An external job's objective must be a name its child can report;
-        a stored job is not checked again on load.
+        It fsyncs the job directory and the root, so a power loss cannot
+        lose the new job.  An external job's objective must be a name its
+        child can report; a stored job is not checked again on load.
         """
         payload = job_config_to_dict(config, executor)
         job_config_from_dict(payload)  # round-trip sanity before any write
@@ -207,6 +214,8 @@ class JobStore:
             self.job_dir(config.job_id).mkdir(parents=True, exist_ok=True)
             _atomic_write_json(self._job_json(config.job_id), payload)
             self._events_path(config.job_id).touch()
+            _fsync_dir(self.job_dir(config.job_id))
+            _fsync_dir(self.root)
         except OSError as exc:
             raise StoreError(f"cannot create job {config.job_id!r}: {exc}") from exc
         return config.job_id
@@ -233,39 +242,32 @@ class JobStore:
             raise CorruptStoreError(f"invalid job.json for {job_id!r}: {exc}") from exc
 
     def set_status(self, job_id: str, status: str) -> None:
-        """Write ``status`` into job.json; ``tunekit stop`` writes ``stopping``."""
-        payload = self.read_job_file(job_id)
-        payload["status"] = status
+        """Request a stop, the one status settable: create the job's ``stop``
+        file with ``O_EXCL`` and fsync the job directory.  A request already
+        made counts as done, so concurrent requests all succeed."""
+        if status != "stopping":
+            raise ValueError(f"only 'stopping' can be set, not {status!r}")
+        if not self.job_exists(job_id):
+            raise NotFoundError(f"job {job_id!r} not found under {self.root}")
         try:
-            _atomic_write_json(self._job_json(job_id), payload)
+            with contextlib.suppress(FileExistsError):
+                open(self.job_dir(job_id) / "stop", "xb").close()  # O_EXCL
+            _fsync_dir(self.job_dir(job_id))
         except OSError as exc:
-            raise StoreError(f"cannot update status for {job_id!r}: {exc}") from exc
+            raise StoreError(f"cannot request a stop for {job_id!r}: {exc}") from exc
 
     def read_status(self, job_id: str) -> str:
-        """job.json's status: ``stopping`` once a stop was requested.
-
-        One ``stat`` per call; the file is parsed again only when its
-        (inode, mtime, size) differs from the last parse.  Every writer
-        replaces job.json by a rename, so each write has a new inode.
-        """
-        cached = self._status_keys.get(job_id)
-        path = self._job_json(job_id) if cached is None else cached[0]
+        """``stopping`` once the job's ``stop`` file exists, else ``created``:
+        one ``stat``.  A missing job reads as no request; the coordinator
+        asks only about a job whose journal it holds open."""
         try:
-            st = os.stat(path)
-        except FileNotFoundError as exc:
-            raise NotFoundError(
-                f"job {job_id!r} not found under {self.root}") from exc
+            # Joining Paths would cost twice the stat; this runs per launch.
+            os.stat(f"{self.root}/{job_id}/stop")
+        except FileNotFoundError:
+            return "created"
         except OSError as exc:
-            raise StoreError(f"cannot stat job.json for {job_id!r}: {exc}") from exc
-        key = (st.st_ino, st.st_mtime_ns, st.st_size)
-        if cached is not None and cached[1] == key:
-            return cached[2]
-        # Stat first, then parse: a write in between leaves the old key
-        # beside the new status, so the next call parses again rather
-        # than keeping a stale status.
-        status = str(self.read_job_file(job_id).get("status", "created"))
-        self._status_keys[job_id] = (path, key, status)
-        return status
+            raise StoreError(f"cannot stat the stop file of {job_id!r}: {exc}") from exc
+        return "stopping"
 
     def job_status(self, job_id: str) -> str:
         """The status :meth:`load_job` reports, without a replay.
@@ -274,13 +276,21 @@ class JobStore:
         parsed: the status is the last status event among them, or
         ``created`` when there is none.  A status line that does not parse
         raises ``CorruptStoreError``; corruption in any other line is left
-        to :meth:`load_job`.  A ``stopping`` request in job.json, read
-        through :meth:`read_config`, overrides any status but
+        to :meth:`load_job`.  A stop request overrides any status but
         ``completed``.
         """
         request = self.read_config(job_id)[2]
-        return _with_stop_request(
-            _last_status(job_id, self._journal_bytes(job_id)), request)
+        return self._with_stop_request(
+            job_id, _last_status(job_id, self._journal_bytes(job_id)), request)
+
+    def _with_stop_request(self, job_id: str, status: str, request: str) -> str:
+        """``status`` with a stop request on top: ``stopping`` beats every
+        status but ``completed``.  The request is the ``stop`` file or, in a
+        store an older version wrote, job.json's status, ``request``."""
+        if status != "completed" and "stopping" in (request,
+                                                    self.read_status(job_id)):
+            return "stopping"
+        return status
 
     # -- events ------------------------------------------------------------
 
@@ -346,14 +356,12 @@ class JobStore:
         self._unsynced.discard(job_id)
 
     def close_job(self, job_id: str) -> None:
-        """Sync the job's journal, then close its handle, and forget the
-        job's cached job.json key.
+        """Sync the job's journal, then close its handle.
 
         A job run by the coordinator leaves lines pending only when it
         ended early, so a failed sync is logged rather than raised over
         the error being handled; the lines it could not write are lost.
         """
-        self._status_keys.pop(job_id, None)
         if job_id not in self._event_handles:
             return
         try:
@@ -376,7 +384,6 @@ class JobStore:
         """:meth:`close_job` every job with an open journal."""
         for job_id in list(self._event_handles):
             self.close_job(job_id)
-        self._status_keys.clear()
 
     def _journal_bytes(self, job_id: str) -> bytes:
         """events.log's complete lines, then this store's unsynced lines.
@@ -453,12 +460,12 @@ class JobStore:
 
         A pure read: trials a crash left running stay ``running`` here, and
         the coordinator journals their interrupted attempts when it resumes
-        the job.  The status is the journal's, or ``stopping`` when job.json
-        asks a job that has not completed to stop.
+        the job.  The status is the journal's, or ``stopping`` when a stop
+        was requested of a job that has not completed.
         """
         config, executor, request = self.read_config(job_id)
         state = replay_events(config, self.read_events(job_id))
-        state.status = _with_stop_request(state.status, request)
+        state.status = self._with_stop_request(job_id, state.status, request)
         return config, executor, state
 
     # -- read-only views ---------------------------------------------------
@@ -498,14 +505,6 @@ class JobStore:
             "best_value": best.final_value if best else None,
             "best_config": dict(best.config.values) if best else None,
         }
-
-
-def _with_stop_request(status: str, request: str) -> str:
-    """A journal status with job.json's request on top: ``stopping``
-    overrides any status but ``completed``."""
-    if request == "stopping" and status != "completed":
-        return request
-    return status
 
 
 def _last_status(job_id: str, raw: bytes) -> str:

@@ -10,13 +10,12 @@ one event, and fills again when that event took its trial out of
 relaunches pending retries first, and only then proposes new trials: the
 surrogate is refit on everything observed so far, so slots never wait for
 each other.  A new trial is refused once the budget is spent or a stop was
-requested; the stop request (``stopping`` in job.json, which the
-coordinator never writes) is checked only at that decision: job.json is
-stat'ed once per proposed launch and parsed only when it changed, and
-in-flight trials run to their end.  Handlers only decide what happens:
-each transition is journaled first and then applied through
-:func:`~tunekit.jobstore.apply_event`, the transition function replay
-uses, so a crash at any event boundary is recoverable by replay.
+requested; the stop request (the job's ``stop`` file, which the
+coordinator never writes) is checked only at that decision, one ``stat``
+per proposed launch, and in-flight trials run to their end.  Handlers
+only decide what happens: each transition is journaled first and then
+applied through :func:`~tunekit.jobstore.apply_event`, the transition
+function replay uses, so a crash at any event boundary is recoverable.
 
 Every event is written and fsync'd before anything outside the
 coordinator depends on it, and before the coordinator waits: the journal
@@ -285,8 +284,8 @@ class _Coordinator:
     def _fill_slots(self) -> bool:
         """Launch retries, then new trials, while a slot is free.
 
-        job.json is checked for a stop request only when the budget would
-        allow a new trial: one stat, and a parse only when it changed.
+        A stop request is checked only when the budget would allow a new
+        trial: one stat of the job's ``stop`` file.
         Returns whether a trial is running afterwards.  The running trials
         are counted once; only this loop's launches change that count,
         since events are handled on this thread.

@@ -314,7 +314,8 @@ def test_warm_start_accelerates_and_drops_invalid_rows(tmp_path):
         store.append_event("acc7-lin", {
             "type": "trial_completed", "trial_id": tid,
             "final_value": final, "ts": float(i) + 0.5})
-    store.set_status("acc7-lin", "completed")
+    store.append_event("acc7-lin", {"type": "job_status_changed",
+                                    "status": "completed"})
     store.close()
 
     log_child = TuningJobConfig(

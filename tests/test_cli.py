@@ -438,6 +438,46 @@ class TestInspection:
         assert list((store_root / "cli-job").rglob("*.tmp")) == []
         control.close()
 
+    def test_job_json_is_never_written_after_creation(self, tmp_path,
+                                                       capsys):
+        path = write_config(tmp_path)
+        root = tmp_path / "store"
+        job_json = root / "cli-job" / "job.json"
+        assert main(["run", str(path), "--store", str(root)]) == 0
+        created = job_json.read_bytes()
+        # Drop the final status line, as a crash before it would.
+        events = root / "cli-job" / "events.log"
+        lines = events.read_bytes().splitlines(keepends=True)
+        assert json.loads(lines[-1])["status"] == "completed"
+        events.write_bytes(b"".join(lines[:-1]))
+        for argv in (["stop", "cli-job"], ["run", str(path)], ["list"],
+                     ["describe", "cli-job"], ["export", "cli-job"]):
+            assert main(argv + ["--store", str(root)]) == 0
+            assert job_json.read_bytes() == created, argv
+        assert (root / "cli-job" / "stop").is_file()
+        assert "status:     completed" in capsys.readouterr().out
+
+    def test_simultaneous_stops_make_one_stop_file(self, tmp_path, capsys):
+        root = tmp_path / "store"
+        JobStore(root).create_job(make_config(), EXECUTOR)
+        stoppers = 8
+        barrier = threading.Barrier(stoppers)
+        codes = []
+
+        def stop():
+            barrier.wait(timeout=60.0)
+            codes.append(main(["stop", "cli-job", "--store", str(root)]))
+
+        threads = [threading.Thread(target=stop) for _ in range(stoppers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert codes == [0] * stoppers
+        assert sorted(p.name for p in (root / "cli-job").iterdir()) == [
+            "events.log", "job.json", "stop"]
+
     def test_stop_and_list_replay_no_journal(self, tmp_path, capsys,
                                              monkeypatch):
         root = tmp_path / "store"

@@ -5,11 +5,16 @@ import json
 import logging
 import math
 import os
+import shutil
+import stat
 import sys
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunekit.jobs import (
     JobConfigError,
@@ -31,6 +36,7 @@ from tunekit.space import Configuration, SearchSpace, continuous
 from tunekit.stopping import MetricCurve
 from tunekit.jobs import TrialRecord
 
+DELETE = object()
 SPACE = SearchSpace([continuous("x1", -5.0, 10.0), continuous("x2", 0.0, 15.0)])
 EXECUTOR = ExecutorSpec(kind="builtin", benchmark="branin")
 
@@ -90,34 +96,75 @@ class TestLifecycle:
 
     def test_status_round_trip(self, store):
         store.create_job(make_config(), EXECUTOR)
-        store.set_status("job-a", "running")
-        assert store.read_status("job-a") == "running"
-        payload = store.read_job_file("job-a")
-        assert payload["status"] == "running"
-        assert payload["job_id"] == "job-a"
+        job_json = store.job_dir("job-a") / "job.json"
+        before = job_json.read_bytes()
+        store.set_status("job-a", "stopping")
+        assert store.read_status("job-a") == "stopping"
+        assert (store.job_dir("job-a") / "stop").read_bytes() == b""
+        assert job_json.read_bytes() == before
+        for status in ("running", "completed", "created"):
+            with pytest.raises(ValueError, match="only 'stopping'"):
+                store.set_status("job-a", status)
 
     def test_no_temp_files_left_behind(self, store):
         store.create_job(make_config(), EXECUTOR)
-        store.set_status("job-a", "running")
-        store.set_status("job-a", "completed")
-        leftovers = [p for p in store.job_dir("job-a").rglob("*.tmp")]
-        assert leftovers == []
+        store.set_status("job-a", "stopping")
+        store.set_status("job-a", "stopping")
+        assert sorted(p.name for p in store.job_dir("job-a").iterdir()) == [
+            "events.log", "job.json", "stop"]
+
+    def test_stop_request_of_a_copied_stopped_job(self, store, tmp_path):
+        # A copy of a stopped job's directory carries its stop file; a
+        # second request on the copy is done already and succeeds.
+        store.create_job(make_config(), EXECUTOR)
+        store.set_status("job-a", "stopping")
+        copy = JobStore(tmp_path / "copy")
+        shutil.copytree(store.job_dir("job-a"), copy.job_dir("job-a"))
+        assert copy.read_status("job-a") == "stopping"
+        copy.set_status("job-a", "stopping")
+        assert copy.load_job("job-a")[2].status == "stopping"
+        copy.close()
+
+    def test_create_and_stop_fsync_the_job_directory(self, store,
+                                                      monkeypatch):
+        synced = []
+        real = os.fsync
+
+        def recording(fd):
+            st = os.fstat(fd)
+            synced.append((stat.S_ISDIR(st.st_mode), st.st_ino))
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", recording)
+        store.create_job(make_config(), EXECUTOR)
+        job_dir = store.job_dir("job-a")
+        assert (True, job_dir.stat().st_ino) in synced
+        assert (True, store.root.stat().st_ino) in synced
+        synced.clear()
+        store.set_status("job-a", "stopping")
+        assert synced == [(True, job_dir.stat().st_ino)]
 
     def test_concurrent_status_writes(self, store):
-        # More writers than cores, switching often: each write must get a
-        # temp file of its own.  Lost updates are possible; errors are not.
+        # More writers than cores, switching often, race to create the
+        # stop file afresh each round: every request succeeds, one file
+        # stays, and job.json is never written.
         store.create_job(make_config(), EXECUTOR)
+        job_dir = store.job_dir("job-a")
+        before = (job_dir / "job.json").read_bytes()
+        writers = 8
+        barrier = threading.Barrier(
+            writers, action=lambda: (job_dir / "stop").unlink(missing_ok=True))
         errors = []
 
-        def hammer(status):
-            for _ in range(300):
+        def hammer():
+            for _ in range(25):
                 try:
-                    store.set_status("job-a", status)
+                    barrier.wait(timeout=60.0)
+                    store.set_status("job-a", "stopping")
                 except Exception as exc:
                     errors.append(exc)
 
-        threads = [threading.Thread(target=hammer, args=(status,))
-                   for status in ("running", "stopping") * 2]
+        threads = [threading.Thread(target=hammer) for _ in range(writers)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -129,20 +176,22 @@ class TestLifecycle:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        payload = json.loads((store.job_dir("job-a") / "job.json").read_text())
-        assert payload["status"] in ("running", "stopping")
-        assert list(store.job_dir("job-a").rglob("*.tmp")) == []
+        assert sorted(p.name for p in job_dir.iterdir()) == [
+            "events.log", "job.json", "stop"]
+        assert (job_dir / "job.json").read_bytes() == before
 
     def test_missing_job_errors(self, store):
         with pytest.raises(NotFoundError):
             store.read_job_file("ghost")
         with pytest.raises(NotFoundError):
-            store.read_status("ghost")
+            store.set_status("ghost", "stopping")
         with pytest.raises(NotFoundError):
             store.load_job("ghost")
         with pytest.raises(NotFoundError):
             store.append_event("ghost", {"type": "job_status_changed",
                                          "status": "running"})
+        # The coordinator asks only about a job it runs.
+        assert store.read_status("ghost") == "created"
 
     def test_list_jobs(self, store, tmp_path):
         store.create_job(make_config("job-a"), EXECUTOR)
@@ -590,6 +639,76 @@ class TestReplay:
         assert done.status == "completed" and done.final_value == 1.5
 
 
+# One valid event of each type, replayed after ``launched("trial-0001")``.
+VALID_EVENTS = {
+    "trial_launched": dict(launched("trial-0002"),
+                           proposal={"log_theta": [0.0] * 8}),
+    "metric_reported": {"type": "metric_reported", "trial_id": "trial-0001",
+                        "iteration": 1, "value": 2.5, "ts": 1.5},
+    "trial_completed": completed("trial-0001", 2.5),
+    "trial_stopped": {"type": "trial_stopped", "trial_id": "trial-0001",
+                      "final_value": 2.5, "ts": 2.0},
+    "trial_failed": {"type": "trial_failed", "trial_id": "trial-0001",
+                     "reason": "timeout", "terminal": False, "ts": 2.0},
+    "job_status_changed": {"type": "job_status_changed", "status": "running",
+                           "ts": 1.0},
+}
+EVENT_FIELDS = [(etype, key) for etype, event in VALID_EVENTS.items()
+                for key in event]
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                         st.text(max_size=4))
+# One value of each JSON kind: null, bool, int, float, string, array, object.
+EVERY_JSON_KIND = st.tuples(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.lists(JSON_SCALARS, max_size=8),
+    st.dictionaries(st.text(max_size=8), JSON_SCALARS, max_size=3))
+
+
+def replayed_fields(state):
+    """The replayed state as comparable text; NaN equals NaN in a repr."""
+    return repr((state.status, None if state.chain_log_theta is None
+                 else state.chain_log_theta.tolist(),
+                 [(t.trial_id, t.status, t.attempts, dict(t.config.values),
+                   t.encoded.tolist(), t.curve.points, t.final_value,
+                   t.started, t.finished, t.failure_reason)
+                  for t in state.trials.values()]))
+
+
+class TestJournalProperty:
+    @pytest.mark.parametrize("etype, key", EVENT_FIELDS,
+                             ids=[f"{etype}.{key}" for etype, key in EVENT_FIELDS])
+    @settings(max_examples=5, deadline=None)
+    @given(values=EVERY_JSON_KIND)
+    def test_any_field_of_any_kind_replays_or_is_corrupt(self, etype, key,
+                                                         values):
+        config = make_config()
+        with tempfile.TemporaryDirectory() as root:
+            store = JobStore(root)
+            for number, value in enumerate(values + (DELETE,)):
+                event = dict(VALID_EVENTS[etype])
+                if value is DELETE:
+                    del event[key]
+                else:
+                    event[key] = value
+                events = [launched("trial-0001"), event]
+                try:
+                    state = replay_events(config, events)
+                except CorruptStoreError:
+                    continue
+                job_id = f"job-{number}"
+                store.create_job(make_config(job_id), EXECUTOR)
+                for line in events:
+                    store.append_event(job_id, line)
+                store.sync(job_id)
+                reader = JobStore(root)
+                back = reader.read_events(job_id)
+                reader.close()
+                assert json.dumps(back) == json.dumps(events)
+                assert (replayed_fields(replay_events(config, back))
+                        == replayed_fields(state))
+            store.close()
+
+
 class TestLoadJob:
     def test_round_trips_config_and_executor(self, store):
         config = make_config(seed=7, max_parallel=3, strategy="random")
@@ -671,10 +790,22 @@ def late_stop(store):
     store.set_status("job-a", "stopping")
 
 
-def old_job_json_running(store):
+def write_old_status(store, status):
     # Older versions also kept the job status in job.json.
+    path = store.job_dir("job-a") / "job.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["status"] = status
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def old_job_json_running(store):
     store.create_job(make_config(), EXECUTOR)
-    store.set_status("job-a", "running")
+    write_old_status(store, "running")
+
+
+def old_job_json_stopping(store):
+    running_job(store)
+    write_old_status(store, "stopping")
 
 
 def torn_final_status_line(store):
@@ -707,6 +838,7 @@ class TestJobStatus:
         "stop_requested": (stop_requested, "stopping"),
         "completed_with_a_late_stop": (late_stop, "completed"),
         "old_job_json_running": (old_job_json_running, "created"),
+        "old_job_json_stopping": (old_job_json_stopping, "stopping"),
         "torn_final_status_line": (torn_final_status_line, "running"),
         "unsynced_lines": (unsynced_lines, "completed"),
         "status_word_in_a_value": (status_word_in_a_value, "running"),

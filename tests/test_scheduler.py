@@ -8,6 +8,7 @@ import math
 import os
 import queue
 import shutil
+import stat
 import sys
 import threading
 import time
@@ -386,26 +387,6 @@ class StatusCountingStore(JobStore):
         return super().read_status(job_id)
 
 
-class ParseCountingStore(StatusCountingStore):
-    """Also counts the job.json parses made by the coordinator's stop check."""
-
-    def __init__(self, root):
-        super().__init__(root)
-        self.in_check = False
-        self.check_parses = 0
-
-    def read_status(self, job_id) -> str:
-        self.in_check = True
-        try:
-            return super().read_status(job_id)
-        finally:
-            self.in_check = False
-
-    def read_job_file(self, job_id) -> dict:
-        self.check_parses += self.in_check
-        return super().read_job_file(job_id)
-
-
 class StopInsideLaunch(ScriptedExecutor):
     """Calls ``stop`` inside the launch of ``at``: after the stop check for
     that launch, before the check for the next one."""
@@ -468,7 +449,7 @@ class StopInsideRunningSync(JobStore):
 
 
 class UnreadableStopStore(JobStore):
-    """job.json cannot be read back for a stop request."""
+    """The stop file cannot be stat'ed."""
 
     def __init__(self, root):
         super().__init__(root)
@@ -476,7 +457,7 @@ class UnreadableStopStore(JobStore):
 
     def read_status(self, job_id) -> str:
         self.reads += 1
-        raise StoreError("injected job.json fault")
+        raise StoreError("injected stop file fault")
 
 
 class FailingFinalSyncStore(JobStore):
@@ -1061,52 +1042,16 @@ class TestRunJob:
         assert state.terminal_count == 12
         assert store.status_reads <= len(state.trials) + 1
 
-    def test_stop_check_parses_job_json_only_when_it_changed(self, tmp_path):
-        curve = get_benchmark("curve-sim")
-        spec = ExecutorSpec(kind="builtin", benchmark="curve-sim",
-                            iterations=20)
-        config = make_config(space=curve.space, max_trials=12, max_parallel=2,
-                             early_stopping="median", seed=23)
-        store = ParseCountingStore(tmp_path / "s")
-        executor = make_executor(spec, "loss", 2)
-        try:
-            state = run_job(config, store, executor)
-        finally:
-            executor.shutdown()
-            store.close()
-        assert state.terminal_count == 12
-        # One check per proposed launch; job.json never changed.
-        assert store.status_reads == len(state.trials)
-        assert store.check_parses <= 1
-
-    @pytest.mark.parametrize("writer", ["cli", "same_size_and_mtime"])
+    @pytest.mark.parametrize("writer", ["cli"])
     def test_stop_is_seen_through_the_status_cache(self, tmp_path, writer):
         config = make_config(max_trials=6)
         root = tmp_path / "s"
-        path = root / config.job_id / "job.json"
 
         def stop():
-            if writer == "cli":
-                assert cli.main(["stop", config.job_id,
-                                 "--store", str(root)]) == 0
-                return
-            # A rename that keeps job.json's size and mtime: only the
-            # inode tells it from the file the stop check parsed.
-            old = os.stat(path)
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            payload["status"] = "stopping"
-            text = json.dumps(payload).encode("utf-8")
-            assert len(text) <= old.st_size
-            tmp = path.with_name("job.json.padded.tmp")
-            tmp.write_bytes(text.ljust(old.st_size))
-            os.replace(tmp, path)
-            os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
-            new = os.stat(path)
-            assert ((new.st_size, new.st_mtime_ns)
-                    == (old.st_size, old.st_mtime_ns))
-            assert new.st_ino != old.st_ino
+            assert cli.main([
+                "stop", config.job_id, "--store", str(root)]) == 0
 
-        store = ParseCountingStore(root)
+        store = StatusCountingStore(root)
         executor = StopInsideLaunch(stop, at="trial-0002")
         try:
             state = run_job(config, store, executor)
@@ -1115,26 +1060,7 @@ class TestRunJob:
         assert executor.launches == ["trial-0001", "trial-0002"]
         assert list(state.trials) == ["trial-0001", "trial-0002"]
         assert store.status_reads == 3
-        assert store.check_parses == 2
         assert state.status == "completed"
-
-    def test_store_keeps_no_status_key_after_run_job(self, tmp_path):
-        store = JobStore(tmp_path / "s")
-        keys = []
-
-        class KeyProbe(ScriptedExecutor):
-            def launch(self, trial_id, config, seed, emit) -> None:
-                keys.append(set(store._status_keys))
-                super().launch(trial_id, config, seed, emit)
-
-        try:
-            for job_id in ("job-a", "job-b"):
-                run_job(make_config(job_id=job_id, max_trials=2), store,
-                        KeyProbe([1.0]))
-                assert job_id not in store._status_keys
-        finally:
-            store.close()
-        assert keys == [{"job-a"}, {"job-a"}, {"job-b"}, {"job-b"}]
 
     def test_slots_refilled_only_when_a_trial_leaves_running(
             self, tmp_path, monkeypatch):
@@ -1236,7 +1162,7 @@ class TestRunJob:
                     if r.name == "tunekit.scheduler"]
         assert len(warnings) == 1
         assert "cannot read a stop request" in warnings[0]
-        assert "injected job.json fault" in warnings[0]
+        assert "injected stop file fault" in warnings[0]
 
     def test_failed_sync_of_completed_status_aborts(self, tmp_path):
         config = make_config(max_trials=2)
@@ -1338,13 +1264,16 @@ class TestRunJob:
         config = make_config(max_trials=40, max_parallel=2,
                              early_stopping="median", seed=41)
         journal = tmp_path / "s" / config.job_id / "events.log"
-        fsyncs = {"journal": 0, "other": 0}
+        fsyncs = {"journal": 0, "directory": 0, "other": 0}
         real = os.fsync
 
         def counting(fd):
-            is_journal = (journal.exists()
-                          and os.path.samestat(os.fstat(fd), journal.stat()))
-            fsyncs["journal" if is_journal else "other"] += 1
+            st = os.fstat(fd)
+            if journal.exists() and os.path.samestat(st, journal.stat()):
+                fsyncs["journal"] += 1
+            else:
+                fsyncs["directory" if stat.S_ISDIR(st.st_mode)
+                       else "other"] += 1
             real(fd)
 
         monkeypatch.setattr(os, "fsync", counting)
@@ -1357,8 +1286,10 @@ class TestRunJob:
         # One journal sync before each launch and each stop request, one
         # after each of the two status changes, and one to spare.
         assert fsyncs["journal"] <= launches + stops + 3
-        # job.json is written atomically at creation only.
+        # job.json is written atomically at creation only, and creation
+        # makes the job directory and the store root durable.
         assert fsyncs["other"] == 1
+        assert fsyncs["directory"] == 2
         assert not (tmp_path / "s" / config.job_id / "trials").exists()
 
     def test_live_state_equals_replayed_journal(self, tmp_path):
@@ -1661,9 +1592,12 @@ class TestResume:
                 "attempt": 1, "config": dict(cfg.values),
                 "encoded": [float(v) for v in encode(cfg, config.space)]})
             store.close()
-        store = JobStore(root)
-        store.set_status(config.job_id, file_status)
+        job_json = root / config.job_id / "job.json"
+        payload = json.loads(job_json.read_text(encoding="utf-8"))
+        payload["status"] = file_status
+        job_json.write_text(json.dumps(payload), encoding="utf-8")
         (root / config.job_id / "trials").mkdir(exist_ok=True)
+        store = JobStore(root)
         want = ("completed" if journal_end == "completed" else
                 "stopping" if file_status == "stopping" else "running")
         assert store.load_job(config.job_id)[2].status == want
