@@ -23,7 +23,7 @@ from .space import (AT_LEAST_0, AT_LEAST_1, DIMENSION_FIELDS, NOT_EMPTY,
                     Configuration, Dimension, Field, SearchSpace, SpaceError,
                     check_fields, field_defaults, one_of, read_record,
                     validate_space, write_record)
-from .stopping import MetricCurve
+from .stopping import CompletedCurves, MetricCurve
 
 __all__ = [
     "JOB_ID_RE",
@@ -137,12 +137,16 @@ class TuningJobState:
     never count toward the budget.  ``chain_log_theta`` is the
     hyperparameter log vector the last model-phase launch journaled, where
     the next model proposal's chain starts; None before the first one.
+    ``completed`` holds the curves of the completed trials, as the median
+    rule reads them; derived from ``trials``, so not compared.
     """
 
     trials: dict[str, TrialRecord] = field(default_factory=dict)
     status: str = "created"
     warm_obs: list[tuple[np.ndarray, float]] = field(default_factory=list)
     chain_log_theta: np.ndarray | None = None
+    completed: CompletedCurves = field(default_factory=CompletedCurves,
+                                       compare=False)
 
     @property
     def running_ids(self) -> list[str]:

@@ -7,19 +7,22 @@ Layout per job under the store root::
     <root>/<job_id>/stop                empty; present once a stop was requested
 
 The event journal is the source of truth, the job status included.
-:func:`apply_event` is the only code that changes job state in response to
-an event: the coordinator applies each event it journals through it, and
-:func:`replay_events` folds a whole journal with it, so live and replayed
-state agree.  That includes the hyperparameter chain: a model-phase
-``trial_launched`` carries ``"proposal": {"log_theta": [...]}``, where the
-next model proposal's chain starts.  job.json is never written after
-:meth:`JobStore.create_job`.  A stop request is the file ``stop``:
-``tunekit stop`` creates it with ``O_EXCL``, so no file in a job directory
-has two writers, and the coordinator's stop check is one ``stat`` of it.
-A store an older version wrote may instead hold ``"status": "stopping"``
-in job.json, which still counts as a stop request.  ``list`` and ``stop``
-parse only the journal's ``job_status_changed`` lines
-(:meth:`JobStore.job_status`).
+:func:`apply_event` is the only code that interprets an event: the
+coordinator applies each event it journals through it, :func:`replay_events`
+folds a whole journal with it, and :meth:`JobStore.job_status` applies the
+journal's status lines with it, so live, replayed and listed state agree.
+That includes the hyperparameter chain: a model-phase ``trial_launched``
+carries ``"proposal": {"log_theta": [...]}``, where the next model
+proposal's chain starts; and ``TuningJobState.completed``, the completed
+curves the median rule reads, which each ``trial_completed`` extends.
+
+job.json is never written after :meth:`JobStore.create_job`.  A stop
+request is the file ``stop``: ``tunekit stop`` creates it with
+``O_EXCL``, so no file in a job directory has two writers, and the
+coordinator's stop check is one ``stat`` of it.  A store an older version
+wrote may instead hold ``"status": "stopping"`` in job.json, which still
+counts as a stop request.  ``list`` and ``stop`` parse only the journal's
+``job_status_changed`` lines (:meth:`JobStore.job_status`).
 
 Durability is group-committed.  :meth:`JobStore.append_event` encodes
 each line into a per-job buffer, and :meth:`JobStore.sync` writes the
@@ -35,9 +38,10 @@ writing :class:`JobStore` also reads its own unsynced lines.
 A line exists once its newline is written: :meth:`JobStore.sync`
 acknowledges nothing before its whole write and fsync return, so bytes
 after the journal's last newline are a torn append (a crash mid-write).
-Every read drops them with a warning, and the next append truncates them
-away first.  A complete line that does not parse is corruption wherever
-it sits.
+One cut, :func:`_torn_length`, finds them for reads and appends alike:
+every read drops them with a warning, and the first append of a
+:class:`JobStore` truncates them away first.  A complete line that does
+not parse is corruption wherever it sits.
 """
 
 from __future__ import annotations
@@ -92,6 +96,8 @@ EVENT_TYPES = frozenset({
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 # The Python types of a JSON number; bool, a subclass of int, is not one.
 _JSON_NUMBER = (float, int)
+# What apply_event raises on a malformed event.
+_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
 class StoreError(RuntimeError):
@@ -133,31 +139,9 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def _end_on_line_boundary(job_id: str, path: Path) -> None:
-    """Truncate the journal after its last newline before anything is appended.
-
-    A line counts once its newline is written, so bytes after the last
-    newline are a torn append that no read returned.  Cutting them keeps
-    the next line from joining them into a complete line that does not
-    parse.
-    """
-    try:
-        fh = open(path, "rb+")
-    except FileNotFoundError:
-        return
-    with fh:
-        end = start = fh.seek(0, os.SEEK_END)
-        tail = b""
-        while start and b"\n" not in tail:
-            step = min(start, 4096)
-            start -= step
-            fh.seek(start)
-            tail = fh.read(step) + tail
-        cut = start + tail.rfind(b"\n") + 1
-        if cut < end:
-            logger.warning("job %s: dropping a torn journal line of %d bytes "
-                           "before appending", job_id, end - cut)
-            fh.truncate(cut)
+def _torn_length(raw: bytes) -> int:
+    """The length of the torn append after the journal's last newline."""
+    return len(raw) - raw.rfind(b"\n") - 1
 
 
 class JobStore:
@@ -279,9 +263,9 @@ class JobStore:
         to :meth:`load_job`.  A stop request overrides any status but
         ``completed``.
         """
-        request = self.read_config(job_id)[2]
+        config, _, request = self.read_config(job_id)
         return self._with_stop_request(
-            job_id, _last_status(job_id, self._journal_bytes(job_id)), request)
+            job_id, _last_status(config, self._journal_bytes(job_id)), request)
 
     def _with_stop_request(self, job_id: str, status: str, request: str) -> str:
         """``status`` with a stop request on top: ``stopping`` beats every
@@ -311,14 +295,27 @@ class JobStore:
         pending.append(_ENCODER.encode(event) + "\n")
 
     def _open_journal(self, job_id: str) -> None:
+        """Open the journal for appends, cutting a torn tail first so the
+        next line cannot join it; the handle is left at the cut, the length
+        :meth:`sync` truncates back to after a failed write."""
         if not self.job_exists(job_id):
             raise NotFoundError(f"job {job_id!r} not found under {self.root}")
-        path = self._events_path(job_id)
+        handle = None
         try:
-            _end_on_line_boundary(job_id, path)
-            self._event_handles[job_id] = open(path, "ab", buffering=0)
+            handle = open(self._events_path(job_id), "ab+", buffering=0)
+            handle.seek(0)
+            raw = handle.readall()
+            end = len(raw) - _torn_length(raw)
+            if end < len(raw):
+                logger.warning("job %s: dropping a torn journal line of %d "
+                               "bytes before appending", job_id, len(raw) - end)
+                handle.truncate(end)
+            handle.seek(end)
         except OSError as exc:
+            if handle is not None:
+                handle.close()
             raise StoreError(f"cannot open events.log: {exc}") from exc
+        self._event_handles[job_id] = handle
 
     def sync(self, job_id: str) -> None:
         """Write the job's buffered lines with one write and fsync them.
@@ -400,11 +397,11 @@ class JobStore:
             raw = path.read_bytes()
         except OSError as exc:
             raise StoreError(f"cannot read events.log: {exc}") from exc
-        cut = raw.rfind(b"\n") + 1
-        if cut < len(raw):
+        torn = _torn_length(raw)
+        if torn:
             logger.warning("job %s: discarding torn final journal line "
-                           "(%d bytes)", job_id, len(raw) - cut)
-            raw = raw[:cut]
+                           "(%d bytes)", job_id, torn)
+            raw = raw[:-torn]
         return raw + "".join(self._pending.get(job_id, ())).encode("utf-8")
 
     def read_events(self, job_id: str) -> list[dict]:
@@ -507,13 +504,15 @@ class JobStore:
         }
 
 
-def _last_status(job_id: str, raw: bytes) -> str:
-    """The status of the journal's last ``job_status_changed`` event.
+def _last_status(config: TuningJobConfig, raw: bytes) -> str:
+    """The status the journal's ``job_status_changed`` events leave.
 
     ``raw`` holds complete lines, as :meth:`JobStore._journal_bytes`
-    returns them; only the lines holding ``job_status_changed`` are parsed.
+    returns them.  Only the lines holding ``job_status_changed`` are
+    parsed, and each status event among them is applied with
+    :func:`apply_event`, so a status line a replay refuses is corrupt here.
     """
-    status = "created"
+    state = TuningJobState()
     hit = raw.find(b"job_status_changed")
     while hit >= 0:
         start = raw.rfind(b"\n", 0, hit) + 1
@@ -524,15 +523,17 @@ def _last_status(job_id: str, raw: bytes) -> str:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             number = raw.count(b"\n", 0, start) + 1
             raise CorruptStoreError(
-                f"corrupt journal line {number} for job {job_id!r}") from exc
+                f"corrupt journal line {number} for job {config.job_id!r}"
+            ) from exc
         if type(event) is dict and event.get("type") == "job_status_changed":
-            status = event.get("status")
-            if type(status) is not str:
+            try:
+                apply_event(config, state, event)
+            except _MALFORMED as exc:
                 number = raw.count(b"\n", 0, start) + 1
                 raise CorruptStoreError(
-                    f"journal line {number} for job {job_id!r} is a status "
-                    f"change without a string status")
-    return status
+                    f"malformed journal line {number} for job "
+                    f"{config.job_id!r}: {type(exc).__name__}: {exc}") from exc
+    return state.status
 
 
 def _chain_log_theta(config: TuningJobConfig, proposal: dict) -> np.ndarray:
@@ -552,6 +553,7 @@ def apply_event(config: TuningJobConfig, state: TuningJobState,
     ``reason`` strings; ``ts``, ``value`` and ``final_value`` numbers, not
     bools (a final value may be non-finite: such finals are journaled on
     purpose); ``terminal`` a bool; ``attempt`` and ``iteration`` integers.
+    A ``trial_completed`` adds its trial's curve to ``state.completed``.
     """
     etype = event.get("type")
     ts = event.get("ts", 0.0)
@@ -605,10 +607,13 @@ def apply_event(config: TuningJobConfig, state: TuningJobState,
         final = event["final_value"]
         if type(final) not in _JSON_NUMBER:
             raise TypeError(f"final_value {final!r} is not a number")
-        trial.status = ("completed" if etype == "trial_completed"
-                        else "early_stopped")
         trial.final_value = float(final)
         trial.finished = float(ts)
+        if etype == "trial_completed":
+            trial.status = "completed"
+            state.completed.add(trial.curve)
+        else:
+            trial.status = "early_stopped"
     elif etype == "trial_failed":
         reason = event.get("reason", "unknown")
         terminal = event.get("terminal", True)
@@ -637,8 +642,7 @@ def replay_events(config: TuningJobConfig, events: list[dict]) -> TuningJobState
     for index, event in enumerate(events, start=1):
         try:
             apply_event(config, state, event)
-        except (AttributeError, KeyError, OverflowError, TypeError,
-                ValueError) as exc:
+        except _MALFORMED as exc:
             raise CorruptStoreError(
                 f"malformed journal event {index} for job {config.job_id!r}: "
                 f"{type(exc).__name__}: {exc}") from exc

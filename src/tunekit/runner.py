@@ -15,7 +15,8 @@ the form ``tuner-metric name=<ident> iteration=<uint> value=<float>`` to
 stdout.  Exit code 0 completes the attempt (the coordinator fails it if no
 objective value arrived).  A non-finite objective value (``nan``, ``inf``,
 or a literal that overflows) fails the attempt.  Each child leads its own
-process group, and stopping it kills the whole group.
+process group, and the attempt kills the whole group when it ends, however
+it ends, so nothing the child spawned reports after it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import logging
 import math
 import os
 import re
+import select
 import shutil
 import signal
 import subprocess
@@ -335,6 +337,7 @@ class ExternalExecutor(_PooledExecutor):
         env = dict(os.environ)
         env[ENV_TRIAL_ID] = trial_id
         env[ENV_HPARAMS_FILE] = str(hparams_path)
+        proc = None
         try:
             trial_dir.mkdir(parents=True, exist_ok=True)
             # json round-trips Python floats exactly (shortest-repr
@@ -347,7 +350,13 @@ class ExternalExecutor(_PooledExecutor):
                 errors="replace", start_new_session=True,
                 stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
             )
+            # Readable once the child exits, before it is reaped: until
+            # then its process group can still be killed.
+            exited = os.pidfd_open(proc.pid)
         except OSError as exc:
+            if proc is not None:
+                _kill_group(proc)
+                proc.wait()
             logger.warning("trial %s failed to spawn: %s", trial_id, exc)
             emit(TrialEvent("failed", trial_id, reason="spawn_failure"))
             return
@@ -370,16 +379,17 @@ class ExternalExecutor(_PooledExecutor):
         reader = threading.Thread(target=consume_stdout, daemon=True)
         reader.start()
         deadline = time.monotonic() + self._spec.timeout
+        watch = select.poll()
+        watch.register(exited, select.POLLIN)
         while True:
             timed_out = time.monotonic() >= deadline
-            if stop.is_set() or non_finite.is_set() or timed_out:
-                _kill_group(proc)
+            if (stop.is_set() or non_finite.is_set() or timed_out
+                    or watch.poll(_POLL_INTERVAL * 1000)):
                 break
-            try:
-                proc.wait(timeout=_POLL_INTERVAL)
-                break
-            except subprocess.TimeoutExpired:
-                continue
+        os.close(exited)
+        # Every end of the attempt ends its group: nothing it spawned
+        # outlives it, and the reader sees EOF once the pipe is drained.
+        _kill_group(proc)
         proc.wait()
         reader.join(timeout=5.0)
         if stop.is_set():

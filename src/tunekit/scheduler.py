@@ -4,18 +4,23 @@ One coordinator (the thread calling :func:`run_job`) owns all mutable job
 state.  Trials execute concurrently through an executor and talk back only
 through one ``queue.SimpleQueue``: it is FIFO across all emitting threads,
 and only the coordinator reads it, so the coordinator takes no lock of its
-own.  The loop fills the free slots, then, while any trial runs, handles
-one event, and fills again when that event took its trial out of
-``running``; the job is done when a fill leaves nothing running.  Filling
-relaunches pending retries first, and only then proposes new trials: the
-surrogate is refit on everything observed so far, so slots never wait for
-each other.  A new trial is refused once the budget is spent or a stop was
-requested; the stop request (the job's ``stop`` file, which the
-coordinator never writes) is checked only at that decision, one ``stat``
-per proposed launch, and in-flight trials run to their end.  Handlers
-only decide what happens: each transition is journaled first and then
-applied through :func:`~tunekit.jobstore.apply_event`, the transition
-function replay uses, so a crash at any event boundary is recoverable.
+own.  Each launch hands the executor an ``emit`` bound to its attempt, and
+a report of an attempt other than its trial's current one is dropped with
+a warning before it reaches the journal.  The loop fills the free slots,
+then, while any trial runs, handles one event, and fills again when that
+event took its trial out of ``running``; the job is done when a fill
+leaves nothing running.  Filling relaunches pending retries first, and only
+then proposes new trials: the surrogate is refit on everything observed so
+far, so slots never wait for each other.  A new trial is refused once the
+budget is spent or a stop was requested; the stop request (the job's
+``stop`` file, which the coordinator never writes) is checked only at that
+decision, one ``stat`` per proposed launch, and in-flight trials run to
+their end.  Handlers only decide what happens: each transition is journaled
+first and then applied through :func:`~tunekit.jobstore.apply_event`, the
+transition function replay uses, so a crash at any event boundary is
+recoverable.  The median rule's completed curves are part of that state
+(``TuningJobState.completed``), so a resumed job stops what an
+uninterrupted one would.
 
 Every event is written and fsync'd before anything outside the
 coordinator depends on it, and before the coordinator waits: the journal
@@ -65,7 +70,7 @@ from .space import (
     validate_value,
 )
 from .sobol import MAX_DIMENSION, scrambled_sobol_points
-from .stopping import CompletedCurves, median_rule
+from .stopping import median_rule
 from .surrogate import GpHyperParams, fit_posterior
 
 logger = logging.getLogger(__name__)
@@ -220,12 +225,11 @@ class _Coordinator:
         self.store = store
         self.executor = executor
         self.state = state
-        self.events: queue.SimpleQueue[TrialEvent] = queue.SimpleQueue()
+        self.events = queue.SimpleQueue()  # (attempt, TrialEvent) pairs
         self.stop_requested = state.status == "stopping"
         self.stop_unreadable = False
-        # Derived from the state, so a resumed job starts from its journal.
-        self.completed = CompletedCurves(
-            t.curve for t in state.trials.values() if t.status == "completed")
+        # (trial id, attempt) of each replaced attempt that was warned about.
+        self.stale_attempts: set[tuple[str, int]] = set()
 
     # -- recording (store failures abort the job) ------------------------
 
@@ -237,8 +241,6 @@ class _Coordinator:
                            "is journaled but never observed", event["trial_id"])
         self._write(self.store.append_event, self.config.job_id, event)
         apply_event(self.config, self.state, event)
-        if event["type"] == "trial_completed":
-            self.completed.add(self.state.trials[event["trial_id"]].curve)
 
     def _sync(self) -> None:
         """Make every journaled event durable; called before others see it."""
@@ -278,8 +280,9 @@ class _Coordinator:
         self._sync()
         executor_seed = _derive_seed(self.config.seed, _SEED_EXECUTOR,
                                      seed_index, attempt)
+        put = self.events.put
         self.executor.launch(trial_id, candidate, executor_seed,
-                             self.events.put)
+                             lambda event: put((attempt, event)))
 
     def _fill_slots(self) -> bool:
         """Launch retries, then new trials, while a slot is free.
@@ -339,8 +342,8 @@ class _Coordinator:
         })
         if config.early_stopping != "median":
             return
-        decision = median_rule(trial.curve, self.completed, event.iteration,
-                               config.objective.goal)
+        decision = median_rule(trial.curve, self.state.completed,
+                               event.iteration, config.objective.goal)
         if not decision.should_stop:
             return
         self._record({
@@ -366,12 +369,22 @@ class _Coordinator:
             "terminal": trial.attempts > self.config.retry_limit,
         })
 
-    def _handle(self, event: TrialEvent) -> bool:
-        """Handle one event; return whether its trial left ``running``."""
+    def _handle(self, attempt: int, event: TrialEvent) -> bool:
+        """Handle one event of ``attempt``; return whether its trial left
+        ``running``."""
+        trial = self.state.trials.get(event.trial_id)
+        if trial is None:
+            return False
+        if attempt != trial.attempts:  # a retry replaced this attempt
+            if (trial.trial_id, attempt) not in self.stale_attempts:
+                self.stale_attempts.add((trial.trial_id, attempt))
+                logger.warning("trial %s: dropping the reports of attempt "
+                               "%d, replaced by attempt %d", trial.trial_id,
+                               attempt, trial.attempts)
+            return False
         # Only running trials change; reports from an attempt already
         # stopped, failed or completed are dropped.
-        trial = self.state.trials.get(event.trial_id)
-        if trial is None or trial.status != "running":
+        if trial.status != "running":
             return False
         if event.kind == "metric":
             self._handle_metric(trial, event)
@@ -383,8 +396,8 @@ class _Coordinator:
 
     # -- main loop ---------------------------------------------------------
 
-    def _next_event(self) -> TrialEvent:
-        """The next queued event; the journal is synced before waiting."""
+    def _next_event(self) -> tuple[int, TrialEvent]:
+        """The next (attempt, event); the journal is synced before waiting."""
         try:
             return self.events.get_nowait()
         except queue.Empty:
@@ -406,7 +419,7 @@ class _Coordinator:
         # (which may queue a retry) changes that, so only then fill again.
         running = self._fill_slots()
         while running:
-            if self._handle(self._next_event()):
+            if self._handle(*self._next_event()):
                 running = self._fill_slots()
         self._set_job_status("completed")
         return self.state

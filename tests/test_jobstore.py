@@ -468,6 +468,34 @@ class TestSync:
                                         metric("trial-0001", 1, 3.0),
                                         metric("trial-0001", 2, 2.0)]
 
+    def test_failed_write_after_a_long_torn_tail_truncates_to_the_cut(
+            self, store, caplog):
+        # The journal's one open cuts a torn tail of several kilobytes and
+        # leaves the handle at the cut: the length a failed write
+        # truncates back to.
+        store.create_job(make_config(), EXECUTOR)
+        store.append_event("job-a", launched("trial-0001"))
+        store.close()
+        path = store.job_dir("job-a") / "events.log"
+        good = path.read_bytes()
+        torn = b'{"type":"metric_reported","pad":"' + b"x" * 5000
+        path.write_bytes(good + torn)
+        with caplog.at_level(logging.WARNING, logger="tunekit.jobstore"):
+            store.append_event("job-a", metric("trial-0001", 1, 3.0))
+        assert [r.message for r in caplog.records] == [
+            f"job job-a: dropping a torn journal line of {len(torn)} bytes "
+            "before appending"]
+        assert path.read_bytes() == good
+        real = store._event_handles["job-a"]
+        store._event_handles["job-a"] = ShortThenFailingHandle(real)
+        with pytest.raises(StoreError, match="injected"):
+            store.sync("job-a")
+        assert path.read_bytes() == good
+        store._event_handles["job-a"] = real
+        store.sync("job-a")
+        assert journal_lines(store) == [launched("trial-0001"),
+                                        metric("trial-0001", 1, 3.0)]
+
 
 class ShortThenFailingHandle:
     """A journal handle whose first write is short and whose next fails."""
@@ -875,7 +903,10 @@ class TestJobStatus:
     @pytest.mark.parametrize("bad", [b'{"type":"job_status_changed","sta',
                                      b'{"type":"job_status_changed"}',
                                      b'{"type":"job_status_changed","status":5}',
-                                     b'{"\xfftype":"job_status_changed"}'])
+                                     b'{"\xfftype":"job_status_changed"}',
+                                     # Refused by apply_event, as in a replay.
+                                     b'{"type":"job_status_changed",'
+                                     b'"status":"running","ts":"late"}'])
     def test_corrupt_status_line_is_unreadable(self, store, bad):
         completed_job(store)
         store.close()

@@ -7,6 +7,7 @@ import logging
 import math
 import os
 import queue
+import shlex
 import shutil
 import stat
 import sys
@@ -50,7 +51,9 @@ from tunekit.space import (
     sample_random,
 )
 from tunekit.sobol import scrambled_sobol_points
-from tunekit.stopping import QUORUM, MetricCurve
+from tunekit.stopping import QUORUM, CompletedCurves, MetricCurve
+
+from test_runner import assert_group_gone
 
 BRANIN_SPACE = SearchSpace([
     continuous("x1", -5.0, 10.0),
@@ -277,6 +280,8 @@ class WriteAheadExecutor:
         self.seen: dict[str, int] = {}
         self.scripts: deque[tuple[str, object, deque]] = deque()
         self.stops: list[str] = []
+        # The WaitingQueue built for the coordinator, once it is built.
+        self.queue: WaitingQueue | None = None
 
     @property
     def spec(self) -> ExecutorSpec:
@@ -284,7 +289,7 @@ class WriteAheadExecutor:
 
     def launch(self, trial_id, config, seed, emit) -> None:
         # Without the patched queue the coordinator would block forever.
-        assert isinstance(emit.__self__, WaitingQueue), emit
+        assert isinstance(self.queue, WaitingQueue), emit
         self.store.check("launch")
         self.seen[trial_id] = n = self.seen.get(trial_id, 0) + 1
         if n <= self.fail_plan.get(trial_id, 0):
@@ -319,6 +324,7 @@ class WaitingQueue(queue.SimpleQueue):
     def __init__(self, executor: WriteAheadExecutor):
         super().__init__()
         self.executor = executor
+        executor.queue = self
 
     def get(self, block=True, timeout=None):
         if block and self.empty():
@@ -1503,9 +1509,10 @@ def crashed_store(root, config, attempt):
 
 
 def trial_events(root, config, trial_id):
+    """The journal's events of ``trial_id``, or all of them for None."""
     store = JobStore(root)
     events = [e for e in store.read_events(config.job_id)
-              if e.get("trial_id") == trial_id]
+              if trial_id is None or e.get("trial_id") == trial_id]
     store.close()
     return events
 
@@ -1657,6 +1664,110 @@ class TestResume:
             assert state.terminal_count == 6, cut
             assert {tid: dict(t.config.values)
                     for tid, t in state.trials.items()} == want, cut
+
+    def test_replayed_completed_curves_are_the_completed_trials(
+            self, tmp_path):
+        config = make_config(max_trials=20, early_stopping="median")
+        live = run_to_completion(tmp_path / "s", config,
+                                 executor=VaryingExecutor())
+        assert live.count("early_stopped") >= 1
+        store = JobStore(tmp_path / "s")
+        replayed = replay_events(config, store.read_events(config.job_id))
+        store.close()
+        want = CompletedCurves(t.curve for t in replayed.trials.values()
+                               if t.status == "completed")
+        for state in (replayed, live):
+            assert state.completed.threshold() == want.threshold()
+            for r in range(1, 12):
+                assert state.completed.contributions(r) == (
+                    want.contributions(r)), r
+
+    def test_resume_after_a_completion_stops_the_same_trials(self, tmp_path):
+        config = make_config(max_trials=20, early_stopping="median")
+        run_to_completion(tmp_path / "ref", config, executor=VaryingExecutor())
+        lines = (tmp_path / "ref" / config.job_id / "events.log").read_bytes(
+            ).splitlines(keepends=True)
+        # Cut after the completion that gives the rule its quorum, before
+        # any stop.
+        cut = [i for i, line in enumerate(lines)
+               if b'"trial_completed"' in line][QUORUM - 1] + 1
+        assert not any(b'"trial_stopped"' in line for line in lines[:cut])
+        root = tmp_path / "cut"
+        shutil.copytree(tmp_path / "ref", root)
+        (root / config.job_id / "events.log").write_bytes(b"".join(lines[:cut]))
+        run_to_completion(root, config, executor=VaryingExecutor())
+
+        def stops(root):
+            return [(e["trial_id"], e["final_value"])
+                    for e in trial_events(root, config, None)
+                    if e["type"] == "trial_stopped"]
+
+        assert stops(tmp_path / "ref")
+        assert stops(root) == stops(tmp_path / "ref")
+
+
+class TestStaleAttempts:
+    def test_report_of_a_replaced_attempt_is_dropped_with_one_warning(
+            self, tmp_path, caplog):
+        config = make_config(max_trials=1)
+        crashed_store(tmp_path / "s", config, attempt=2)
+        store = JobStore(tmp_path / "s")
+        _, _, state = store.load_job(config.job_id)
+        coordinator = scheduler._Coordinator(config, store,
+                                             ScriptedExecutor([]), state)
+        with caplog.at_level(logging.WARNING, logger="tunekit.scheduler"):
+            assert not coordinator._handle(
+                1, TrialEvent("metric", "trial-0001", "loss", 2, 999.0))
+            assert not coordinator._handle(
+                1, TrialEvent("completed", "trial-0001"))
+            assert not coordinator._handle(
+                2, TrialEvent("metric", "trial-0001", "loss", 2, 0.5))
+        store.close()
+        assert [r.getMessage() for r in caplog.records] == [
+            "trial trial-0001: dropping the reports of attempt 1, replaced "
+            "by attempt 2"]
+        trial = state.trials["trial-0001"]
+        assert trial.status == "running"
+        assert trial.curve.points == [(1, 5.0), (2, 0.5)]
+        assert [e.get("value") for e in trial_events(tmp_path / "s", config,
+                                                     "trial-0001")] == [
+            None, 5.0, 0.5]
+
+    def test_a_failed_attempts_late_report_is_not_the_trials(self, tmp_path):
+        # Attempt 1 exits 1 and leaves a process that reports 999 once
+        # attempt 2 runs; attempt 2 reports 0.5.  The marker telling the
+        # attempts apart lies outside the trial directory.
+        marker = shlex.quote(str(tmp_path / "attempted"))
+        script = (
+            f"if [ -e {marker} ]; then sleep 2.5; "
+            "echo 'tuner-metric name=loss iteration=1 value=0.5'; exit 0; fi; "
+            f"touch {marker}; (sleep 6; "
+            "echo 'tuner-metric name=loss iteration=1 value=999') & exit 1")
+        spec = ExecutorSpec(kind="external", command=("sh", "-c", script),
+                            workdir=str(tmp_path / "trials"))
+        config = make_config(max_trials=1, retry_limit=1)
+        state = run_to_completion(tmp_path / "s", config, spec=spec)
+        trial = state.trials["trial-0001"]
+        assert (trial.status, trial.final_value) == ("completed", 0.5)
+        events = trial_events(tmp_path / "s", config, "trial-0001")
+        assert [(e["type"], e.get("attempt")) for e in events
+                if e["type"] != "metric_reported"] == [
+            ("trial_launched", 1), ("trial_failed", None),
+            ("trial_launched", 2), ("trial_completed", None)]
+        relaunch = events.index(next(e for e in events
+                                     if e.get("attempt") == 2))
+        assert [e["value"] for e in events[relaunch:]
+                if e["type"] == "metric_reported"] == [0.5]
+
+    def test_a_completed_attempt_leaves_no_process_behind(self, tmp_path):
+        spec = ExecutorSpec(
+            kind="external", workdir=str(tmp_path / "trials"),
+            command=("sh", "-c", "sleep 37 & echo $$ $! > pids; "
+                     "echo 'tuner-metric name=loss iteration=1 value=0.5'"))
+        config = make_config(max_trials=1)
+        state = run_to_completion(tmp_path / "s", config, spec=spec)
+        assert state.trials["trial-0001"].status == "completed"
+        assert_group_gone(tmp_path / "trials" / "trial-0001" / "pids")
 
 
 # --- the hyperparameter chain across a crash -------------------------------
